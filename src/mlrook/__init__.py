@@ -45,8 +45,6 @@ from .ffpoly import (
 from .placements import (
     FilePlacement,
     InvalidPlacementError,
-    PlacementKind,
-    classify_placement,
     enumerate_file_placements,
     enumerate_m_level_rook_placements,
     is_m_level_rook_placement,
@@ -64,7 +62,6 @@ from .rooktheory import (
     m_level_rook_poly,
     verify_factorizations,
     weight,
-    weighted_file_number,
     weighted_file_numbers,
     weighted_file_poly,
     zone_roots,

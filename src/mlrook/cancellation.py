@@ -27,15 +27,17 @@ are rejected loudly rather than mis-partitioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .boards import Cell, FerrersBoard, _check_m, is_singleton, rows_of_level
 from .placements import (
     FilePlacement,
+    _cells_string,
+    _walk,
     enumerate_file_placements,
-    is_m_level_rook_placement,
 )
-from .rooktheory import weight
+from .rooktheory import _row_weight, weight
 
 __all__ = [
     "CancellationClass",
@@ -63,9 +65,48 @@ def nonrook_file_placements(
     Empty for k <= 1: a single rook never conflicts.
     """
     _check_m(m)
-    for placement in enumerate_file_placements(board, k):
-        if not is_m_level_rook_placement(placement, m):
-            yield placement
+    for cells in _walk(board.heights, k):
+        if _class_key(cells, m) is not None:
+            yield FilePlacement._trusted(board, cells)
+
+
+_Key = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
+
+
+def _class_key(cells: tuple[tuple[int, int], ...], m: int) -> _Key | None:
+    """``(level, fixed cells, movable columns)`` of the class holding the
+    placement with these column-sorted cells; None when no level holds
+    two rooks (an m-level rook placement)."""
+    counts: dict[int, int] = {}
+    for _, row in cells:
+        level = (row + m - 1) // m
+        counts[level] = counts.get(level, 0) + 1
+    conflicted = [(count, level) for level, count in counts.items() if count >= 2]
+    if not conflicted:
+        return None
+    level = min(conflicted)[1]
+    fixed = []
+    movable = []
+    anchored = False
+    for cell in cells:
+        if (cell[1] + m - 1) // m != level:
+            fixed.append(cell)
+        elif anchored:
+            movable.append(cell[0])
+        else:
+            fixed.append(cell)
+            anchored = True
+    return level, tuple(fixed), tuple(movable)
+
+
+def _members(key: _Key, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Column-sorted cells of every class member, in odometer order: the
+    leftmost movable column's row varies fastest, rows ascending within
+    the anchor level."""
+    level, fixed, movable = key
+    rows = range(m * (level - 1) + 1, m * level + 1)
+    for swept in product(rows, repeat=len(movable)):
+        yield tuple(sorted(fixed + tuple(zip(movable, reversed(swept)))))
 
 
 def canonical_level(placement: FilePlacement, m: int) -> int:
@@ -76,15 +117,16 @@ def canonical_level(placement: FilePlacement, m: int) -> int:
     level (m-level rook placements) are rejected.
     """
     _check_m(m)
-    best: tuple[int, int] | None = None
-    for level, count in placement.level_counts(m).items():
-        if count >= 2 and (best is None or (count, level) < best):
-            best = (count, level)
-    if best is None:
+    return _conflict_key(placement, m)[0]
+
+
+def _conflict_key(placement: FilePlacement, m: int) -> _Key:
+    key = _class_key(placement.cells, m)
+    if key is None:
         raise ValueError(
             "placement is an m-level rook placement; no level holds two rooks"
         )
-    return best[1]
+    return key
 
 
 @dataclass(frozen=True)
@@ -155,7 +197,7 @@ class CancellationClass:
             weight_sum = class_weight_sum(self)
         return {
             "level": self.level,
-            "fixed": ";".join(f"{c}:{r}" for c, r in self.fixed_cells),
+            "fixed": _cells_string(self.fixed_cells),
             "movable_columns": list(self.movable_columns),
             "size": self.size,
             "weight_sum": weight_sum,
@@ -173,18 +215,7 @@ def canonical_class(placement: FilePlacement, m: int) -> CancellationClass:
         raise NonSingletonBoardError(
             f"board {board} is not a singleton board for m={m}"
         )
-    level = canonical_level(placement, m)
-    level_rows = rows_of_level(level, m)
-    inside = [cell for cell in placement.cells if cell.row in level_rows]
-    outside = [cell for cell in placement.cells if cell.row not in level_rows]
-    leftmost = inside[0]
-    return CancellationClass(
-        board=board,
-        m=m,
-        level=level,
-        fixed_cells=tuple(outside) + (leftmost,),
-        movable_columns=tuple(cell.column for cell in inside[1:]),
-    )
+    return CancellationClass(board, m, *_conflict_key(placement, m))
 
 
 def class_members(cls: CancellationClass) -> tuple[FilePlacement, ...]:
@@ -193,16 +224,10 @@ def class_members(cls: CancellationClass) -> tuple[FilePlacement, ...]:
     The leftmost movable column's row varies fastest, rows ascending
     within the anchor level.
     """
-    base_row = cls.m * (cls.level - 1)
-    members = []
-    for index in range(cls.size):
-        cells = list(cls.fixed_cells)
-        t = index
-        for col in cls.movable_columns:
-            cells.append(Cell(col, base_row + 1 + t % cls.m))
-            t //= cls.m
-        members.append(FilePlacement(cls.board, tuple(cells)))
-    return tuple(members)
+    key = (cls.level, cls.fixed_cells, cls.movable_columns)
+    return tuple(
+        FilePlacement._trusted(cls.board, cells) for cells in _members(key, cls.m)
+    )
 
 
 def class_weight_sum(cls: CancellationClass) -> int:
@@ -241,10 +266,6 @@ def reintroduction_sum(
     return sum(
         weight(placement.with_rook(column, row), m) for row in rows_of_level(level, m)
     )
-
-
-def _class_key(cls: CancellationClass) -> tuple:
-    return (cls.level, cls.fixed_cells, cls.movable_columns)
 
 
 @dataclass(frozen=True)
@@ -317,41 +338,39 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
             f"board {board} is not a singleton board for m={m}"
         )
 
-    groups: dict[tuple, set[FilePlacement]] = {}
+    groups: dict[_Key, set[tuple]] = {}
     total = 0
     count = 0
-    for placement in nonrook_file_placements(board, m, k):
+    for placement in enumerate_file_placements(board, k):
+        key = _class_key(placement.cells, m)
+        if key is None:
+            continue
         count += 1
         total += weight(placement, m)
-        key = _class_key(canonical_class(placement, m))
-        groups.setdefault(key, set()).add(placement)
+        groups.setdefault(key, set()).add(placement.cells)
 
-    classes: list[CancellationClass] = []
     sums: list[int] = []
     well_defined = True
     disjoint_cover = True
     sums_zero = True
     witness: str | None = None
 
-    for key in sorted(groups):
-        cls = CancellationClass(
-            board=board, m=m, level=key[0], fixed_cells=key[1], movable_columns=key[2]
-        )
-        members = class_members(cls)
+    keys = sorted(groups)
+    for key in keys:
+        members = list(_members(key, m))
         for member in members:
-            if _class_key(canonical_class(member, m)) != key:
+            if _class_key(member, m) != key:
                 well_defined = False
-                witness = witness or member.to_string()
+                witness = witness or _cells_string(member)
         member_set = set(members)
         if member_set != groups[key]:
             disjoint_cover = False
             stray = next(iter(member_set.symmetric_difference(groups[key])))
-            witness = witness or stray.to_string()
-        s = sum(weight(member, m) for member in members)
+            witness = witness or _cells_string(stray)
+        s = sum(_row_weight(member, m) for member in members)
         if s != 0:
             sums_zero = False
-            witness = witness or members[0].to_string()
-        classes.append(cls)
+            witness = witness or _cells_string(members[0])
         sums.append(s)
 
     return CoverReport(
@@ -359,7 +378,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         m=m,
         k=k,
         nonrook_count=count,
-        classes=tuple(classes),
+        classes=tuple(CancellationClass(board, m, *key) for key in keys),
         class_sums=tuple(sums),
         well_defined=well_defined,
         disjoint_cover=disjoint_cover,

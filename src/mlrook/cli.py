@@ -21,7 +21,7 @@ from .boards import (
     parse_board,
     zones,
 )
-from .cancellation import verify_cover
+from .cancellation import CoverReport, verify_cover
 from .ffpoly import expand_roots, to_basis
 from .placements import (
     enumerate_file_placements,
@@ -188,34 +188,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     board = parse_board(args.board)
     m = _parse_m(args.m)
-    if args.k is not None:
-        reports = [verify_cover(board, m, _parse_k(args.k))]
-        summary_k: int | None = reports[0].k
-    else:
-        reports = [verify_cover(board, m, k) for k in range(board.n + 1)]
-        summary_k = None
+    k = None if args.k is None else _parse_k(args.k)
+    ks = range(board.n + 1) if k is None else (k,)
+    reports = [verify_cover(board, m, j) for j in ks]
     for report in reports:
         for class_dict in report.class_json_dicts():
             _emit(class_dict)
-    ok = all(report.ok for report in reports)
-    witnesses = [report.witness for report in reports if report.witness is not None]
-    _emit(
-        {
-            "board": str(board),
-            "m": m,
-            "k": summary_k,
-            "nonrook_placements": sum(r.nonrook_count for r in reports),
-            "num_classes": sum(len(r.classes) for r in reports),
-            "well_defined": all(r.well_defined for r in reports),
-            "disjoint_cover": all(r.disjoint_cover for r in reports),
-            "class_sums_zero": all(r.class_sums_zero for r in reports),
-            "total_zero": all(r.total_zero for r in reports),
-            "total_weight": sum(r.total_weight for r in reports),
-            "ok": ok,
-            "witness": witnesses[0] if witnesses else None,
-        }
+    witnesses = [r.witness for r in reports if r.witness is not None]
+    # one report over every k covered; k is null when all counts ran
+    summary = CoverReport(
+        board=board,
+        m=m,
+        k=k,
+        nonrook_count=sum(r.nonrook_count for r in reports),
+        classes=tuple(c for r in reports for c in r.classes),
+        class_sums=tuple(s for r in reports for s in r.class_sums),
+        well_defined=all(r.well_defined for r in reports),
+        disjoint_cover=all(r.disjoint_cover for r in reports),
+        class_sums_zero=all(r.class_sums_zero for r in reports),
+        total_zero=all(r.total_zero for r in reports),
+        total_weight=sum(r.total_weight for r in reports),
+        witness=witnesses[0] if witnesses else None,
     )
-    return 0 if ok else 1
+    _emit(summary.summary_json_dict())
+    return 0 if summary.ok else 1
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .boards import _check_m
+
 __all__ = [
     "FFPoly",
     "RootMultiset",
@@ -26,11 +28,6 @@ __all__ = [
     "m_falling_factorial",
     "to_basis",
 ]
-
-
-def _check_m(m: int) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"block size m must be a positive integer, got {m!r}")
 
 
 def m_falling_factorial(value: int, k: int, m: int) -> int:
@@ -71,9 +68,8 @@ class FFPoly:
     ``m is None`` marks the power basis; an integer ``m >= 1`` marks the
     m-falling basis.  Coefficients run low to high and trailing zeros
     are stripped, so the zero polynomial has an empty coefficient tuple.
-    Adding polynomials requires equal basis tags and multiplying
-    requires the power basis; anything else raises ``TypeError`` rather
-    than converting silently.
+    Adding polynomials requires equal basis tags; mixed tags raise
+    ``TypeError`` rather than converting silently.
     """
 
     coeffs: tuple[int, ...]
@@ -101,10 +97,6 @@ class FFPoly:
     @classmethod
     def zero(cls, m: int | None = None) -> "FFPoly":
         return cls((), m)
-
-    @property
-    def is_power(self) -> bool:
-        return self.m is None
 
     @property
     def is_zero(self) -> bool:
@@ -181,25 +173,6 @@ class FFPoly:
         for i, c in enumerate(b):
             out[i] += c
         return FFPoly(tuple(out), self.m)
-
-    def __neg__(self) -> "FFPoly":
-        return FFPoly(tuple(-c for c in self.coeffs), self.m)
-
-    def __sub__(self, other: "FFPoly") -> "FFPoly":
-        if not isinstance(other, FFPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "FFPoly") -> "FFPoly":
-        if not isinstance(other, FFPoly):
-            return NotImplemented
-        if self.m is not None or other.m is not None:
-            raise TypeError("polynomial products are defined in the power basis only")
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return FFPoly(tuple(out), None)
 
     def __str__(self) -> str:
         if self.is_zero:

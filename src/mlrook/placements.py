@@ -6,16 +6,21 @@ distinct levels (blocks of m rows) gives m-level rook placements, so
 the three kinds nest: m-level rook placements are rook placements are
 file placements.
 
-Enumeration is depth-first over columns with a skip branch per column,
-yielding placements in ascending lexicographic order of their sorted
-(column, row) cells.  Streams are generated lazily; counting never
-materializes the placements.
+One iterative walker enumerates all of them.  It runs over columns
+with a skip branch per column, keeps one (column, row) per placed rook
+instead of recursing, so it has no depth limit, and yields placements
+in ascending lexicographic order of their sorted (column, row) cells.
+Streams are generated lazily.
+
+The m-level rook numbers and the weighted file numbers are one
+block-weight sum over all file placements (see ``_block_sums``).  They
+are still exhaustive counts: the sum visits every file placement, but
+allocates nothing per placement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 from .boards import Cell, FerrersBoard, _check_m
@@ -23,8 +28,6 @@ from .boards import Cell, FerrersBoard, _check_m
 __all__ = [
     "FilePlacement",
     "InvalidPlacementError",
-    "PlacementKind",
-    "classify_placement",
     "enumerate_file_placements",
     "enumerate_m_level_rook_placements",
     "is_m_level_rook_placement",
@@ -60,6 +63,14 @@ class FilePlacement:
             if not self.board.contains(col, row):
                 raise InvalidPlacementError(f"cell {col}:{row} is not on the board")
             prev_col = col
+
+    @classmethod
+    def _trusted(cls, board: FerrersBoard, cells: tuple) -> "FilePlacement":
+        # walker output: sorted by column, on the board, one rook per column
+        placement = object.__new__(cls)
+        object.__setattr__(placement, "board", board)
+        object.__setattr__(placement, "cells", tuple(map(Cell._make, cells)))
+        return placement
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FilePlacement):
@@ -106,7 +117,7 @@ class FilePlacement:
 
     def to_string(self) -> str:
         """Text form ``"col:row;col:row"`` sorted by column; empty for no rooks."""
-        return ";".join(f"{col}:{row}" for col, row in self.cells)
+        return _cells_string(self.cells)
 
     @classmethod
     def from_string(cls, board: FerrersBoard, text: str) -> "FilePlacement":
@@ -128,12 +139,8 @@ class FilePlacement:
         return self.to_string()
 
 
-class PlacementKind(str, Enum):
-    """Nested placement classes: MLEVEL is a ROOK is a FILE placement."""
-
-    FILE = "file"
-    ROOK = "rook"
-    MLEVEL = "mlevel"
+def _cells_string(cells: tuple[tuple[int, int], ...]) -> str:
+    return ";".join(f"{col}:{row}" for col, row in cells)
 
 
 def is_m_level_rook_placement(placement: FilePlacement, m: int) -> bool:
@@ -153,18 +160,56 @@ def is_rook_placement(placement: FilePlacement) -> bool:
     return is_m_level_rook_placement(placement, 1)
 
 
-def classify_placement(placement: FilePlacement, m: int) -> PlacementKind:
-    """Most specific kind of the placement for block size m."""
-    if is_m_level_rook_placement(placement, m):
-        return PlacementKind.MLEVEL
-    if is_rook_placement(placement):
-        return PlacementKind.ROOK
-    return PlacementKind.FILE
-
-
 def _check_k(k: int) -> None:
     if k < 0:
         raise ValueError(f"rook count k must be non-negative, got {k}")
+
+
+def _walk(
+    heights: tuple[int, ...], k: int, m: int | None = None
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield the placements of exactly k rooks, one per column, as
+    ``(column, row)`` tuples in canonical order.
+
+    ``m=None`` walks file placements; an integer m also allows at most
+    one rook per level.  Rook d of the placement keeps its own column
+    and row and is advanced in place; when it runs out of columns the
+    walk backs up to rook d - 1.  Nothing recurses.
+    """
+    if k == 0:
+        yield ()
+        return
+    n = len(heights)
+    # cells[d] is rook d's current (column, row); row 0 means no row tried yet
+    cells = [(1, 0)] * k
+    used: set[int] = set()  # levels holding a rook (m-level walk only)
+    d = 0
+    while d >= 0:
+        col, row = cells[d]
+        if m is not None and row:
+            used.discard((row + m - 1) // m)
+        row += 1
+        last_col = n - k + d + 1  # leaves one column for each later rook
+        while col <= last_col:
+            height = heights[col - 1]
+            if m is not None:
+                while row <= height and (row + m - 1) // m in used:
+                    row += 1
+            if row <= height:
+                break
+            col += 1
+            row = 1
+        else:
+            d -= 1
+            continue
+        cells[d] = (col, row)
+        if m is not None:
+            used.add((row + m - 1) // m)
+        if d + 1 == k:
+            yield tuple(cells)
+        else:
+            d += 1
+            cells[d] = (col + 1, 0)
 
 
 def enumerate_file_placements(board: FerrersBoard, k: int) -> Iterator[FilePlacement]:
@@ -173,23 +218,8 @@ def enumerate_file_placements(board: FerrersBoard, k: int) -> Iterator[FilePlace
     k = 0 yields the single empty placement; k > n yields nothing.
     """
     _check_k(k)
-    n = board.n
-    heights = board.heights
-    acc: list[Cell] = []
-
-    def walk(col: int, need: int) -> Iterator[FilePlacement]:
-        if need == 0:
-            yield FilePlacement(board, tuple(acc))
-            return
-        if n - col + 1 < need:
-            return
-        for row in range(1, heights[col - 1] + 1):
-            acc.append(Cell(col, row))
-            yield from walk(col + 1, need - 1)
-            acc.pop()
-        yield from walk(col + 1, need)
-
-    yield from walk(1, k)
+    for cells in _walk(board.heights, k):
+        yield FilePlacement._trusted(board, cells)
 
 
 def enumerate_m_level_rook_placements(
@@ -203,57 +233,53 @@ def enumerate_m_level_rook_placements(
     """
     _check_m(m)
     _check_k(k)
-    n = board.n
-    heights = board.heights
-    acc: list[Cell] = []
-    used_levels: set[int] = set()
+    for cells in _walk(board.heights, k, m):
+        yield FilePlacement._trusted(board, cells)
 
-    def walk(col: int, need: int) -> Iterator[FilePlacement]:
-        if need == 0:
-            yield FilePlacement(board, tuple(acc))
-            return
-        if n - col + 1 < need:
-            return
-        for row in range(1, heights[col - 1] + 1):
-            level = (row + m - 1) // m
-            if level in used_levels:
-                continue
-            used_levels.add(level)
-            acc.append(Cell(col, row))
-            yield from walk(col + 1, need - 1)
-            acc.pop()
-            used_levels.remove(level)
-        yield from walk(col + 1, need)
 
-    yield from walk(1, k)
+def _block_sums(heights: tuple[int, ...], size: int, t: int) -> tuple[int, ...]:
+    """``(s_0, ..., s_n)``: s_k sums, over every file placement of k rooks,
+    the product over blocks of ``size`` consecutive rows of
+    ``ff(1, rooks_in_block, t)``.
+
+    Adding a rook to a block already holding c rooks multiplies the
+    weight by ``1 - c*t``; a zero weight prunes the subtree.  Rows of one
+    block give equal subtrees, so each block is walked once and weighted
+    by its row count in the column.  The sum recurses once per column.
+    """
+    n = len(heights)
+    sums = [0] * (n + 1)
+    # per column: (block index, rows of the block inside the column)
+    blocks = [
+        [(b, min(size, h - b * size)) for b in range(-(-h // size))] for h in heights
+    ]
+    rooks = [0] * max(heights, default=0)  # per block; no more blocks than rows
+
+    def walk(col: int, placed: int, w: int) -> None:
+        if col == n:
+            sums[placed] += w
+            return
+        walk(col + 1, placed, w)
+        for b, rows in blocks[col]:
+            c = rooks[b]
+            factor = 1 - c * t
+            if factor:
+                rooks[b] = c + 1
+                walk(col + 1, placed + 1, w * factor * rows)
+                rooks[b] = c
+
+    walk(0, 0, 1)
+    return tuple(sums)
 
 
 def rook_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """All m-level rook numbers ``(r_0, ..., r_n)`` by exhaustive count.
 
-    The count walks the same column-by-column tree as the enumerator but
-    allocates nothing per placement.
+    ``ff(1, c, 1)`` is 1 for c <= 1 and 0 otherwise, so the block-weight
+    sum over levels of m rows counts the m-level rook placements.
     """
     _check_m(m)
-    n = board.n
-    heights = board.heights
-    counts = [0] * (n + 1)
-    used_levels: set[int] = set()
-
-    def walk(col: int, placed: int) -> None:
-        if col > n:
-            counts[placed] += 1
-            return
-        walk(col + 1, placed)
-        for row in range(1, heights[col - 1] + 1):
-            level = (row + m - 1) // m
-            if level not in used_levels:
-                used_levels.add(level)
-                walk(col + 1, placed + 1)
-                used_levels.remove(level)
-
-    walk(1, 0)
-    return tuple(counts)
+    return _block_sums(board.heights, m, 1)
 
 
 def rook_number(board: FerrersBoard, m: int, k: int) -> int:

@@ -20,10 +20,18 @@ polynomial of the weighted file numbers f_k, where each file placement
 is weighted by a product over rows of ``ff(1, rooks_in_row, m)``.  On
 singleton boards the two generating polynomials coincide, which forces
 the weights of non-rook file placements to cancel (see cancellation).
+
+Both number sequences come from one block-weight sum in ``placements``:
+r_k weights blocks of m rows by ``ff(1, c, 1)`` and f_k weights single
+rows by ``ff(1, c, m)``.  Both are still exhaustive; the sum visits
+every file placement.  Placement enumeration itself is iterative and
+has no depth limit.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -37,7 +45,7 @@ from .boards import (
     zones,
 )
 from .ffpoly import FFPoly, RootMultiset, expand_roots, m_falling_factorial
-from .placements import FilePlacement, rook_numbers
+from .placements import FilePlacement, _block_sums, rook_numbers
 
 __all__ = [
     "FactorizationReport",
@@ -49,7 +57,6 @@ __all__ = [
     "m_level_rook_poly",
     "verify_factorizations",
     "weight",
-    "weighted_file_number",
     "weighted_file_numbers",
     "weighted_file_poly",
     "zone_roots",
@@ -65,47 +72,24 @@ def weight(placement: FilePlacement, m: int) -> int:
     rooks) and may be negative or large otherwise.
     """
     _check_m(m)
-    result = 1
-    for count in placement.row_counts().values():
-        result *= m_falling_factorial(1, count, m)
-    return result
+    return _row_weight(placement.cells, m)
+
+
+def _row_weight(cells: Iterable[tuple[int, int]], m: int) -> int:
+    # ``weight`` of the placement given by its (column, row) cells
+    rows = Counter(row for _, row in cells)
+    return math.prod(m_falling_factorial(1, count, m) for count in rows.values())
 
 
 def weighted_file_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """All weighted file numbers ``(f_0, ..., f_n)``, exactly.
 
-    Walks every file placement once, column by column, updating the
-    weight incrementally: adding a rook to a row already holding c rooks
-    multiplies the weight by ``1 - c*m``.
+    The block-weight sum over single rows: adding a rook to a row
+    already holding c rooks multiplies the weight by ``1 - c*m``.  Every
+    file placement is visited once.
     """
     _check_m(m)
-    n = board.n
-    heights = board.heights
-    sums = [0] * (n + 1)
-    row_rooks = [0] * ((heights[-1] if n else 0) + 1)
-
-    def walk(col: int, placed: int, w: int) -> None:
-        if col > n:
-            sums[placed] += w
-            return
-        walk(col + 1, placed, w)
-        for row in range(1, heights[col - 1] + 1):
-            c = row_rooks[row]
-            row_rooks[row] = c + 1
-            walk(col + 1, placed + 1, w * (1 - c * m))
-            row_rooks[row] = c
-
-    walk(1, 0, 1)
-    return tuple(sums)
-
-
-def weighted_file_number(board: FerrersBoard, m: int, k: int) -> int:
-    """Sum of weights over all file placements of exactly k rooks."""
-    if k < 0:
-        raise ValueError(f"rook count k must be non-negative, got {k}")
-    if k > board.n:
-        return 0
-    return weighted_file_numbers(board, m)[k]
+    return _block_sums(board.heights, 1, m)
 
 
 def gjw_roots(board: FerrersBoard) -> RootMultiset:

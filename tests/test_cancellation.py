@@ -1,5 +1,6 @@
 import pytest
 
+import mlrook.cancellation as cancellation
 from mlrook.boards import Cell, is_singleton, make_board
 from mlrook.cancellation import (
     CancellationClass,
@@ -292,3 +293,55 @@ class TestVerifyCover:
                 "weight_sum": 0,
             }
         ]
+
+    def test_wrong_class_key_is_caught(self, monkeypatch):
+        real_key = cancellation._class_key
+
+        def bottom_anchor_key(cells, m):
+            # wrong rule: the anchor rook is frozen on the bottom row of
+            # its level, so placements that differ only in the anchor's
+            # row share a class that cannot generate them all
+            key = real_key(cells, m)
+            if key is None:
+                return None
+            level, fixed, movable = key
+            bottom = m * (level - 1) + 1
+            fixed = tuple(
+                (c, bottom) if (r + m - 1) // m == level else (c, r) for c, r in fixed
+            )
+            return level, fixed, movable
+
+        monkeypatch.setattr(cancellation, "_class_key", bottom_anchor_key)
+        report = verify_cover(make_board((2, 2)), 2, 2)
+        assert not report.ok
+        assert not report.disjoint_cover
+        assert report.witness in ("1:2;2:1", "1:2;2:2")
+
+    def test_wrong_member_sweep_is_caught(self, monkeypatch):
+        real_members = cancellation._members
+
+        def members_one_level_up(key, m):
+            for cells in real_members(key, m):
+                yield tuple((c, r + m) for c, r in cells)
+
+        monkeypatch.setattr(cancellation, "_members", members_one_level_up)
+        report = verify_cover(make_board((4, 4)), 2, 2)
+        assert not report.well_defined
+        assert not report.disjoint_cover
+        assert report.witness == "1:3;2:3"
+
+    def test_broken_member_weights_are_caught(self, monkeypatch):
+        monkeypatch.setattr(cancellation, "_row_weight", lambda cells, m: 1)
+        report = verify_cover(make_board((2, 2)), 2, 2)
+        assert report.well_defined and report.disjoint_cover and report.total_zero
+        assert not report.class_sums_zero
+        assert report.class_sums == (2, 2)
+        assert report.witness == "1:1;2:1"
+
+    def test_broken_total_is_caught(self, monkeypatch):
+        monkeypatch.setattr(cancellation, "weight", lambda placement, m: 1)
+        report = verify_cover(make_board((2, 2)), 2, 2)
+        assert report.class_sums_zero
+        assert not report.total_zero
+        assert report.total_weight == 4
+        assert not report.ok

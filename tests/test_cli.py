@@ -60,6 +60,17 @@ class TestEnumerate:
             ' "placements": ["1:1", "2:1", "2:2"]}\n'
         )
 
+    def test_wide_board_has_no_depth_limit(self, capsys):
+        board = ",".join(["1"] * 1200)
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--board", board, "--m", "1", "--k", "1",
+            "--kind", "file", "--limit", "1",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["count"] == 1200
+        assert data["placements"] == ["1:1"]
+
     def test_limit_caps_listing_not_count(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -233,6 +244,17 @@ class TestPartition:
         assert summary["ok"] is True
         assert summary["nonrook_placements"] == 7936
         assert summary["total_weight"] == 0
+
+    def test_failed_cover_exits_1(self, capsys, monkeypatch):
+        import mlrook.cancellation as cancellation
+
+        monkeypatch.setattr(cancellation, "_row_weight", lambda cells, m: 1)
+        code, out, _ = run_cli(capsys, "partition", "--board", "2,2", "--m", "2")
+        assert code == 1
+        summary = json.loads(out.splitlines()[-1])
+        assert summary["class_sums_zero"] is False
+        assert summary["ok"] is False
+        assert summary["witness"] == "1:1;2:1"
 
     def test_non_singleton_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "partition", "--board", "1,2,2,3", "--m", "3")

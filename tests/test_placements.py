@@ -4,8 +4,6 @@ from mlrook.boards import FerrersBoard, make_board
 from mlrook.placements import (
     FilePlacement,
     InvalidPlacementError,
-    PlacementKind,
-    classify_placement,
     enumerate_file_placements,
     enumerate_m_level_rook_placements,
     is_m_level_rook_placement,
@@ -139,6 +137,20 @@ class TestEnumerateMLevel:
             assert is_m_level_rook_placement(p, 2)
 
 
+class TestNoDepthLimit:
+    # the walker keeps one cell per placed rook instead of recursing per
+    # column, so the board width is not bounded by the recursion limit
+    def test_file_placements_on_1200_columns(self):
+        board = make_board((1,) * 1200)
+        assert sum(1 for _ in enumerate_file_placements(board, 1)) == 1200
+
+    def test_full_staircase_has_one_rook_placement(self):
+        board = make_board(range(1, 1201))
+        placements = list(enumerate_m_level_rook_placements(board, 1, 1200))
+        assert len(placements) == 1
+        assert placements[0].cells == tuple((i, i) for i in range(1, 1201))
+
+
 class TestPredicates:
     def test_figure_rook_placement(self):
         assert is_m_level_rook_placement(FilePlacement(SQ4, FIG_ROOK_SQ4), 1)
@@ -155,12 +167,7 @@ class TestPredicates:
 
     def test_classify_nesting(self):
         board = make_board((4, 4))
-        same_row = FilePlacement(board, ((1, 2), (2, 2)))
-        same_level = FilePlacement(board, ((1, 1), (2, 2)))
         clean = FilePlacement(board, ((1, 1), (2, 3)))
-        assert classify_placement(same_row, 2) == PlacementKind.FILE
-        assert classify_placement(same_level, 2) == PlacementKind.ROOK
-        assert classify_placement(clean, 2) == PlacementKind.MLEVEL
         # every m-level placement is a rook placement
         assert is_rook_placement(clean)
 

@@ -19,7 +19,6 @@ from mlrook.rooktheory import (
     m_level_rook_poly,
     verify_factorizations,
     weight,
-    weighted_file_number,
     weighted_file_numbers,
     weighted_file_poly,
     zone_roots,
@@ -64,18 +63,7 @@ class TestWeight:
 
 class TestWeightedFileNumbers:
     def test_small_board_values(self):
-        board = make_board((1, 2))
-        assert weighted_file_number(board, 2, 0) == 1
-        assert weighted_file_number(board, 2, 1) == 3
-        assert weighted_file_number(board, 2, 2) == 0
-        assert weighted_file_numbers(board, 2) == (1, 3, 0)
-
-    def test_k_beyond_columns_is_zero(self):
-        assert weighted_file_number(make_board((1, 2)), 2, 9) == 0
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_file_number(make_board((1, 2)), 2, -1)
+        assert weighted_file_numbers(make_board((1, 2)), 2) == (1, 3, 0)
 
     def test_matches_definition_sum(self):
         for board in boards_up_to(3, 4):
