@@ -27,7 +27,7 @@ print(f"seed placement {seed} has weight {weight(seed, m)}")
 
 cls = canonical_class(seed, m)
 print(f"\nits class: anchor level {cls.level},"
-      f" fixed cells {cls.to_json_dict()['fixed']},"
+      f" fixed cells {FilePlacement(board, cls.fixed_cells)},"
       f" movable columns {list(cls.movable_columns)}")
 total = 0
 for member in class_members(cls):

@@ -15,12 +15,8 @@ from .boards import (
     Zone,
     is_singleton,
     level_numbers,
-    level_of_row,
-    levels_spanned,
-    m_floor,
     make_board,
     parse_board,
-    rows_of_level,
     zones,
 )
 from .cancellation import (
@@ -28,9 +24,7 @@ from .cancellation import (
     CoverReport,
     NonSingletonBoardError,
     canonical_class,
-    canonical_level,
     class_members,
-    class_weight_sum,
     nonrook_file_placements,
     reintroduction_sum,
     verify_cover,
@@ -48,7 +42,6 @@ from .placements import (
     enumerate_file_placements,
     enumerate_m_level_rook_placements,
     is_m_level_rook_placement,
-    is_rook_placement,
     rook_number,
     rook_numbers,
 )

@@ -30,12 +30,8 @@ __all__ = [
     "Zone",
     "is_singleton",
     "level_numbers",
-    "level_of_row",
-    "levels_spanned",
-    "m_floor",
     "make_board",
     "parse_board",
-    "rows_of_level",
     "zones",
 ]
 
@@ -55,9 +51,26 @@ class Cell(NamedTuple):
     row: int
 
 
+def _is_int(value: object) -> bool:
+    # bool is an int subclass, but True is not a height, coefficient or m.
+    # Hot callers test ``type(x) is not int`` first, so plain ints skip
+    # this call.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_m(m: int) -> None:
-    if not isinstance(m, int) or m < 1:
+    if (type(m) is not int and not _is_int(m)) or m < 1:
         raise ValueError(f"block size m must be a positive integer, got {m!r}")
+
+
+def _m_floor(value: int, m: int) -> int:
+    # largest multiple of m that is at most the non-negative value
+    return value - value % m
+
+
+def _rows_of_level(level: int, m: int) -> range:
+    # level j covers rows m*(j-1)+1 .. m*j
+    return range(m * (level - 1) + 1, m * level + 1)
 
 
 @dataclass(frozen=True)
@@ -75,7 +88,7 @@ class FerrersBoard:
         object.__setattr__(self, "heights", heights)
         prev = 0
         for i, h in enumerate(heights, start=1):
-            if not isinstance(h, int):
+            if type(h) is not int and not _is_int(h):
                 raise InvalidBoardError(f"column {i}: height {h!r} is not an integer")
             if h < 0:
                 raise InvalidBoardError(f"column {i}: height {h} is negative")
@@ -103,10 +116,6 @@ class FerrersBoard:
     def contains(self, column: int, row: int) -> bool:
         """True iff the cell at (column, row) lies on the board."""
         return 1 <= column <= self.n and 1 <= row <= self.heights[column - 1]
-
-    @classmethod
-    def from_string(cls, text: str) -> "FerrersBoard":
-        return parse_board(text)
 
     def __str__(self) -> str:
         return ",".join(str(h) for h in self.heights)
@@ -140,38 +149,6 @@ def parse_board(text: str) -> FerrersBoard:
     return FerrersBoard(tuple(heights))
 
 
-def m_floor(value: int, m: int) -> int:
-    """Largest multiple of ``m`` that is at most ``value``."""
-    _check_m(m)
-    if value < 0:
-        raise ValueError(f"m_floor requires a non-negative value, got {value}")
-    return value - value % m
-
-
-def level_of_row(row: int, m: int) -> int:
-    """Level containing ``row``: level j covers rows m*(j-1)+1 .. m*j."""
-    _check_m(m)
-    if row < 1:
-        raise ValueError(f"rows are 1-indexed, got {row}")
-    return (row + m - 1) // m
-
-
-def rows_of_level(level: int, m: int) -> range:
-    """The m rows making up ``level``."""
-    _check_m(m)
-    if level < 1:
-        raise ValueError(f"levels are 1-indexed, got {level}")
-    return range(m * (level - 1) + 1, m * level + 1)
-
-
-def levels_spanned(board: FerrersBoard, m: int) -> int:
-    """Number of levels intersected by the board (0 for the empty board)."""
-    _check_m(m)
-    if board.n == 0 or board.heights[-1] == 0:
-        return 0
-    return level_of_row(board.heights[-1], m)
-
-
 @dataclass(frozen=True)
 class Zone:
     """Maximal run of columns sharing one m-floor.
@@ -196,10 +173,10 @@ def zones(board: FerrersBoard, m: int) -> tuple[Zone, ...]:
     out: list[Zone] = []
     i = 1
     while i <= board.n:
-        floor = m_floor(heights[i - 1], m)
+        floor = _m_floor(heights[i - 1], m)
         j = i
         remainder = 0
-        while j <= board.n and m_floor(heights[j - 1], m) == floor:
+        while j <= board.n and _m_floor(heights[j - 1], m) == floor:
             remainder += heights[j - 1] - floor
             j += 1
         out.append(Zone(start=i, end=j - 1, floor=floor, remainder=remainder))
@@ -242,6 +219,6 @@ def is_singleton(board: FerrersBoard, m: int) -> bool:
     _check_m(m)
     heights = board.heights
     for i in range(board.n - 1):
-        if heights[i] % m and m_floor(heights[i], m) >= m_floor(heights[i + 1], m):
+        if heights[i] % m and _m_floor(heights[i], m) >= _m_floor(heights[i + 1], m):
             return False
     return True

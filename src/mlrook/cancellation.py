@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .boards import Cell, FerrersBoard, _check_m, is_singleton, rows_of_level
+from .boards import Cell, FerrersBoard, _check_m, _rows_of_level, is_singleton
 from .placements import (
     FilePlacement,
     _cells_string,
@@ -44,9 +44,7 @@ __all__ = [
     "CoverReport",
     "NonSingletonBoardError",
     "canonical_class",
-    "canonical_level",
     "class_members",
-    "class_weight_sum",
     "nonrook_file_placements",
     "reintroduction_sum",
     "verify_cover",
@@ -104,29 +102,8 @@ def _members(key: _Key, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
     leftmost movable column's row varies fastest, rows ascending within
     the anchor level."""
     level, fixed, movable = key
-    rows = range(m * (level - 1) + 1, m * level + 1)
-    for swept in product(rows, repeat=len(movable)):
+    for swept in product(_rows_of_level(level, m), repeat=len(movable)):
         yield tuple(sorted(fixed + tuple(zip(movable, reversed(swept)))))
-
-
-def canonical_level(placement: FilePlacement, m: int) -> int:
-    """The level anchoring the placement's cancellation class.
-
-    Among levels holding at least two rooks, the one with the fewest;
-    ties break to the lowest level.  Placements without a conflicted
-    level (m-level rook placements) are rejected.
-    """
-    _check_m(m)
-    return _conflict_key(placement, m)[0]
-
-
-def _conflict_key(placement: FilePlacement, m: int) -> _Key:
-    key = _class_key(placement.cells, m)
-    if key is None:
-        raise ValueError(
-            "placement is an m-level rook placement; no level holds two rooks"
-        )
-    return key
 
 
 @dataclass(frozen=True)
@@ -155,7 +132,7 @@ class CancellationClass:
         object.__setattr__(self, "fixed_cells", fixed)
         object.__setattr__(self, "movable_columns", movable)
 
-        level_rows = rows_of_level(self.level, self.m)
+        level_rows = _rows_of_level(self.level, self.m)
         anchor: Cell | None = None
         seen_columns = set()
         for cell in fixed:
@@ -192,9 +169,7 @@ class CancellationClass:
     def size(self) -> int:
         return self.m ** len(self.movable_columns)
 
-    def to_json_dict(self, weight_sum: int | None = None) -> dict:
-        if weight_sum is None:
-            weight_sum = class_weight_sum(self)
+    def to_json_dict(self, weight_sum: int) -> dict:
         return {
             "level": self.level,
             "fixed": _cells_string(self.fixed_cells),
@@ -207,15 +182,24 @@ class CancellationClass:
 def canonical_class(placement: FilePlacement, m: int) -> CancellationClass:
     """The cancellation class containing ``placement``.
 
-    Requires a singleton board (otherwise some movable column could meet
-    the anchor level only partially and the sweep would be ill-formed).
+    Its level is the canonical one: among levels holding at least two
+    rooks, the one with the fewest; ties break to the lowest level.
+    Placements without a conflicted level (m-level rook placements) are
+    rejected.  Requires a singleton board (otherwise some movable column
+    could meet the anchor level only partially and the sweep would be
+    ill-formed).
     """
     board = placement.board
     if not is_singleton(board, m):
         raise NonSingletonBoardError(
             f"board {board} is not a singleton board for m={m}"
         )
-    return CancellationClass(board, m, *_conflict_key(placement, m))
+    key = _class_key(placement.cells, m)
+    if key is None:
+        raise ValueError(
+            "placement is an m-level rook placement; no level holds two rooks"
+        )
+    return CancellationClass(board, m, *key)
 
 
 def class_members(cls: CancellationClass) -> tuple[FilePlacement, ...]:
@@ -228,15 +212,6 @@ def class_members(cls: CancellationClass) -> tuple[FilePlacement, ...]:
     return tuple(
         FilePlacement._trusted(cls.board, cells) for cells in _members(key, cls.m)
     )
-
-
-def class_weight_sum(cls: CancellationClass) -> int:
-    """Sum of the member weights, computed directly from the members.
-
-    Zero on singleton boards; the function computes rather than assumes
-    it so checks can assert the cancellation.
-    """
-    return sum(weight(member, cls.m) for member in class_members(cls))
 
 
 def reintroduction_sum(
@@ -264,7 +239,7 @@ def reintroduction_sum(
             f"column {column} meets level {level} in fewer than {m} cells"
         )
     return sum(
-        weight(placement.with_rook(column, row), m) for row in rows_of_level(level, m)
+        weight(placement.with_rook(column, row), m) for row in _rows_of_level(level, m)
     )
 
 

@@ -116,6 +116,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     board = parse_board(args.board)
     m = _parse_m(args.m)
     k = _parse_k(args.k)
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"limit must be non-negative, got {args.limit}")
     if args.kind == "file":
         stream = enumerate_file_placements(board, k)
     elif args.kind == "rook":

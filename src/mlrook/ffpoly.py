@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .boards import _check_m
+from .boards import _check_m, _is_int
 
 __all__ = [
     "FFPoly",
@@ -68,8 +68,6 @@ class FFPoly:
     ``m is None`` marks the power basis; an integer ``m >= 1`` marks the
     m-falling basis.  Coefficients run low to high and trailing zeros
     are stripped, so the zero polynomial has an empty coefficient tuple.
-    Adding polynomials requires equal basis tags; mixed tags raise
-    ``TypeError`` rather than converting silently.
     """
 
     coeffs: tuple[int, ...]
@@ -78,7 +76,7 @@ class FFPoly:
     def __post_init__(self) -> None:
         coeffs = list(self.coeffs)
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int and not _is_int(c):
                 raise ValueError(f"coefficient {c!r} is not an integer")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -93,22 +91,6 @@ class FFPoly:
     @classmethod
     def mfalling(cls, coeffs: Iterable[int], m: int) -> "FFPoly":
         return cls(tuple(coeffs), m)
-
-    @classmethod
-    def zero(cls, m: int | None = None) -> "FFPoly":
-        return cls((), m)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def eval(self, x: int) -> int:
         """Exact evaluation at an integer point, respecting the basis."""
@@ -156,26 +138,8 @@ class FFPoly:
             d["m"] = self.m
         return d
 
-    def _require_same_basis(self, other: "FFPoly") -> None:
-        if self.m != other.m:
-            raise TypeError(
-                f"cannot combine polynomials in different bases ({self.m!r} vs {other.m!r})"
-            )
-
-    def __add__(self, other: "FFPoly") -> "FFPoly":
-        if not isinstance(other, FFPoly):
-            return NotImplemented
-        self._require_same_basis(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return FFPoly(tuple(out), self.m)
-
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.coeffs:
             return "0"
         var = "x" if self.m is None else f"x|{self.m}"
         parts = []
@@ -210,15 +174,12 @@ class RootMultiset:
     def __post_init__(self) -> None:
         constants = tuple(sorted(self.constants))
         for c in constants:
-            if not isinstance(c, int):
+            if type(c) is not int and not _is_int(c):
                 raise ValueError(f"root constant {c!r} is not an integer")
         object.__setattr__(self, "constants", constants)
 
     def __iter__(self):
         return iter(self.constants)
-
-    def __len__(self) -> int:
-        return len(self.constants)
 
 
 def expand_roots(roots: RootMultiset | Iterable[int]) -> FFPoly:

@@ -13,9 +13,10 @@ in ascending lexicographic order of their sorted (column, row) cells.
 Streams are generated lazily.
 
 The m-level rook numbers and the weighted file numbers are one
-block-weight sum over all file placements (see ``_block_sums``).  They
-are still exhaustive counts: the sum visits every file placement, but
-allocates nothing per placement.
+block-weight sum over all file placements (see ``_block_sums``).  It is
+exact and uses none of the product forms: one sweep over the columns
+sums the weights of the placements that share a block-occupancy state,
+so it neither recurses nor visits each placement.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "enumerate_file_placements",
     "enumerate_m_level_rook_placements",
     "is_m_level_rook_placement",
-    "is_rook_placement",
     "rook_number",
     "rook_numbers",
 ]
@@ -88,13 +88,6 @@ class FilePlacement:
         """Mapping column -> row of the occupied cells."""
         return {col: row for col, row in self.cells}
 
-    def row_counts(self) -> dict[int, int]:
-        """Number of rooks in each occupied row."""
-        counts: dict[int, int] = {}
-        for _, row in self.cells:
-            counts[row] = counts.get(row, 0) + 1
-        return counts
-
     def level_counts(self, m: int) -> dict[int, int]:
         """Number of rooks in each occupied level."""
         _check_m(m)
@@ -119,22 +112,6 @@ class FilePlacement:
         """Text form ``"col:row;col:row"`` sorted by column; empty for no rooks."""
         return _cells_string(self.cells)
 
-    @classmethod
-    def from_string(cls, board: FerrersBoard, text: str) -> "FilePlacement":
-        text = text.strip()
-        if not text:
-            return cls(board, ())
-        cells = []
-        for token in text.split(";"):
-            try:
-                col_text, row_text = token.split(":")
-                cells.append(Cell(int(col_text), int(row_text)))
-            except ValueError:
-                raise InvalidPlacementError(
-                    f"bad placement token {token!r}, expected 'col:row'"
-                ) from None
-        return cls(board, tuple(cells))
-
     def __str__(self) -> str:
         return self.to_string()
 
@@ -153,11 +130,6 @@ def is_m_level_rook_placement(placement: FilePlacement, m: int) -> bool:
             return False
         seen.add(level)
     return True
-
-
-def is_rook_placement(placement: FilePlacement) -> bool:
-    """True iff no two rooks share a row."""
-    return is_m_level_rook_placement(placement, 1)
 
 
 def _check_k(k: int) -> None:
@@ -242,33 +214,29 @@ def _block_sums(heights: tuple[int, ...], size: int, t: int) -> tuple[int, ...]:
     the product over blocks of ``size`` consecutive rows of
     ``ff(1, rooks_in_block, t)``.
 
-    Adding a rook to a block already holding c rooks multiplies the
-    weight by ``1 - c*t``; a zero weight prunes the subtree.  Rows of one
-    block give equal subtrees, so each block is walked once and weighted
-    by its row count in the column.  The sum recurses once per column.
+    One sweep over the columns keeps a map from rooks-per-block vectors
+    to the summed weight of the partial placements giving that vector.
+    A column either stays empty or adds a rook to one of its blocks;
+    adding a rook to a block already holding c rooks multiplies the
+    weight by ``1 - c*t``, and the block's rows in the column give equal
+    branches, so the factor also carries that row count.  A zero factor
+    drops the branch.  The sum reads only the heights, never a product
+    form, so checking a product form against it is a real check.
     """
-    n = len(heights)
-    sums = [0] * (n + 1)
-    # per column: (block index, rows of the block inside the column)
-    blocks = [
-        [(b, min(size, h - b * size)) for b in range(-(-h // size))] for h in heights
-    ]
-    rooks = [0] * max(heights, default=0)  # per block; no more blocks than rows
-
-    def walk(col: int, placed: int, w: int) -> None:
-        if col == n:
-            sums[placed] += w
-            return
-        walk(col + 1, placed, w)
-        for b, rows in blocks[col]:
-            c = rooks[b]
-            factor = 1 - c * t
-            if factor:
-                rooks[b] = c + 1
-                walk(col + 1, placed + 1, w * factor * rows)
-                rooks[b] = c
-
-    walk(0, 0, 1)
+    nblocks = -(-max(heights, default=0) // size)  # blocks the tallest column meets
+    states = {(0,) * nblocks: 1}
+    for h in heights:
+        grown = dict(states)  # the column stays empty
+        for rooks, w in states.items():
+            for b in range(-(-h // size)):
+                factor = (1 - rooks[b] * t) * min(size, h - b * size)
+                if factor:
+                    key = rooks[:b] + (rooks[b] + 1,) + rooks[b + 1 :]
+                    grown[key] = grown.get(key, 0) + w * factor
+        states = grown
+    sums = [0] * (len(heights) + 1)
+    for rooks, w in states.items():
+        sums[sum(rooks)] += w
     return tuple(sums)
 
 

@@ -23,9 +23,9 @@ the weights of non-rook file placements to cancel (see cancellation).
 
 Both number sequences come from one block-weight sum in ``placements``:
 r_k weights blocks of m rows by ``ff(1, c, 1)`` and f_k weights single
-rows by ``ff(1, c, m)``.  Both are still exhaustive; the sum visits
-every file placement.  Placement enumeration itself is iterative and
-has no depth limit.
+rows by ``ff(1, c, m)``.  The sum is exact and reads only the column
+heights: it sweeps the columns once, summing over block-occupancy
+states, and uses none of the product forms it is compared against.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import Collection, Iterable, Mapping
 from .boards import (
     FerrersBoard,
     _check_m,
+    _is_int,
     is_singleton,
     level_numbers,
     zones,
@@ -85,8 +86,7 @@ def weighted_file_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """All weighted file numbers ``(f_0, ..., f_n)``, exactly.
 
     The block-weight sum over single rows: adding a rook to a row
-    already holding c rooks multiplies the weight by ``1 - c*m``.  Every
-    file placement is visited once.
+    already holding c rooks multiplies the weight by ``1 - c*m``.
     """
     _check_m(m)
     return _block_sums(board.heights, 1, m)
@@ -287,7 +287,7 @@ def census_level_numbers(
     _check_m(m)
     levels = tuple(levels)
     for l in levels:
-        if not isinstance(l, int) or l < 0:
+        if not _is_int(l) or l < 0:
             raise ValueError(f"level number {l!r} is not a non-negative integer")
     table = _census_table(len(levels), m)
     return tuple(FerrersBoard(h) for h in table.get(levels, ()))

@@ -7,13 +7,11 @@ from mlrook.boards import (
     Zone,
     is_singleton,
     level_numbers,
-    level_of_row,
-    levels_spanned,
-    m_floor,
     make_board,
     parse_board,
     zones,
 )
+from mlrook.placements import FilePlacement
 from oracles import boards_up_to, brute_level_numbers, brute_singleton_by_levels
 
 
@@ -38,6 +36,16 @@ class TestMakeBoard:
         with pytest.raises(InvalidBoardError):
             make_board((1, "2"))
 
+    def test_bool_height_rejected(self):
+        with pytest.raises(InvalidBoardError, match="column 1"):
+            make_board((True, 2))
+
+    def test_bool_m_rejected(self):
+        board = make_board((1, 2))
+        for fn in (zones, level_numbers, is_singleton):
+            with pytest.raises(ValueError, match="block size"):
+                fn(board, True)
+
     def test_contains(self):
         board = make_board((1, 3))
         assert board.contains(2, 3)
@@ -60,32 +68,22 @@ class TestBoardString:
 
 
 class TestMFloor:
+    # a one-column board is one zone whose floor is the column's m-floor
     @pytest.mark.parametrize("v,m,expected", [(7, 3, 6), (6, 3, 6), (0, 5, 0), (5, 1, 5)])
     def test_values(self, v, m, expected):
-        assert m_floor(v, m) == expected
+        assert zones(make_board((v,)), m)[0].floor == expected
 
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):
-            m_floor(4, 0)
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
-            m_floor(-1, 2)
+            zones(make_board((4,)), 0)
 
 
 class TestLevelOfRow:
+    # a single rook on ``row`` is counted in the level holding that row
     @pytest.mark.parametrize("row,m,expected", [(1, 2, 1), (2, 2, 1), (3, 2, 2), (6, 3, 2), (7, 3, 3)])
     def test_values(self, row, m, expected):
-        assert level_of_row(row, m) == expected
-
-    def test_row_zero_rejected(self):
-        with pytest.raises(ValueError):
-            level_of_row(0, 2)
-
-    def test_levels_spanned(self):
-        assert levels_spanned(make_board(()), 3) == 0
-        assert levels_spanned(make_board((0, 0)), 3) == 0
-        assert levels_spanned(make_board((1, 7)), 3) == 3
+        placement = FilePlacement(make_board((row,)), ((1, row),))
+        assert placement.level_counts(m) == {expected: 1}
 
 
 class TestZones:

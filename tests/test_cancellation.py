@@ -6,9 +6,7 @@ from mlrook.cancellation import (
     CancellationClass,
     NonSingletonBoardError,
     canonical_class,
-    canonical_level,
     class_members,
-    class_weight_sum,
     nonrook_file_placements,
     reintroduction_sum,
     verify_cover,
@@ -53,23 +51,23 @@ class TestNonRookStream:
 class TestCanonicalLevel:
     def test_tie_breaks_to_lowest(self):
         # both levels of F0 hold three rooks
-        assert canonical_level(F0, 2) == 1
+        assert canonical_class(F0, 2).level == 1
 
     def test_minimal_count_wins(self):
         board = make_board((6, 6, 6, 6, 6, 6))
         cells = ((1, 1), (2, 1), (3, 2), (4, 2), (5, 5), (6, 6))
         placement = FilePlacement(board, cells)
         # level 1 holds four rooks, level 3 holds two
-        assert canonical_level(placement, 2) == 3
+        assert canonical_class(placement, 2).level == 3
 
     def test_single_level_board(self):
         placement = FilePlacement(make_board((2, 2)), ((1, 1), (2, 2)))
-        assert canonical_level(placement, 2) == 1
+        assert canonical_class(placement, 2).level == 1
 
     def test_rejects_mlevel_placement(self):
         placement = FilePlacement(make_board((2, 2)), ((1, 1),))
         with pytest.raises(ValueError):
-            canonical_level(placement, 2)
+            canonical_class(placement, 2)
 
 
 class TestCanonicalClass:
@@ -137,7 +135,7 @@ class TestClassMembers:
             "2:3;3:2;4:2;5:4;6:2;7:3",
         ]
         assert [weight(p, 2) for p in members] == [1, 1, 1, -3]
-        assert class_weight_sum(cls) == 0
+        assert sum(weight(p, 2) for p in members) == 0
 
     def test_first_member_is_seed_when_seed_sits_low(self):
         members = class_members(canonical_class(F0, 2))
@@ -182,7 +180,8 @@ class TestClassWeightSum:
                         if cls in seen:
                             continue
                         seen.add(cls)
-                        assert class_weight_sum(cls) == 0, (board, m, k)
+                        total = sum(weight(p, m) for p in class_members(cls))
+                        assert total == 0, (board, m, k)
 
     def test_two_rook_base_case_pattern(self):
         # m - 1 split placements at +W against one doubled row at (1-m)W

@@ -71,6 +71,16 @@ class TestEnumerate:
         assert data["count"] == 1200
         assert data["placements"] == ["1:1"]
 
+    def test_negative_limit_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "enumerate", "--board", "1,2", "--m", "2", "--k", "1",
+            "--kind", "file", "--limit", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_limit_caps_listing_not_count(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -126,6 +136,17 @@ class TestNumbers:
         )
         assert code == 0
         assert out == "k,value\n0,1\n1,3\n2,0\n"
+
+
+    def test_wide_board_has_no_depth_limit(self, capsys):
+        board = ",".join(["1"] * 1200)
+        code, out, _ = run_cli(
+            capsys, "numbers", "--board", board, "--m", "1", "--kind", "rook"
+        )
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert len(values) == 1201
+        assert values[:3] == [1, 1200, 0]
 
 
 class TestPoly:

@@ -20,23 +20,17 @@ EXPORTS = {
     "Zone",
     "br_roots",
     "canonical_class",
-    "canonical_level",
     "census_level_numbers",
     "class_members",
-    "class_weight_sum",
     "enumerate_file_placements",
     "enumerate_m_level_rook_placements",
     "expand_roots",
     "gjw_roots",
     "is_m_level_rook_placement",
-    "is_rook_placement",
     "is_singleton",
     "level_numbers",
-    "level_of_row",
     "level_roots",
-    "levels_spanned",
     "m_falling_factorial",
-    "m_floor",
     "m_level_equivalent",
     "m_level_rook_poly",
     "make_board",
@@ -45,7 +39,6 @@ EXPORTS = {
     "reintroduction_sum",
     "rook_number",
     "rook_numbers",
-    "rows_of_level",
     "to_basis",
     "verify_cover",
     "verify_factorizations",

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlrook.boards import AmbientSizeError, make_board
 from mlrook.ffpoly import FFPoly, RootMultiset, expand_roots
@@ -23,7 +25,12 @@ from mlrook.rooktheory import (
     weighted_file_poly,
     zone_roots,
 )
-from oracles import boards_up_to, brute_level_numbers, brute_weighted_file_number
+from oracles import (
+    boards_up_to,
+    brute_level_numbers,
+    brute_rook_count,
+    brute_weighted_file_number,
+)
 
 FIG_FILE_BOARD = make_board((2, 2, 4, 4, 4, 4))
 FIG_FILE = FilePlacement(FIG_FILE_BOARD, ((1, 2), (3, 4), (4, 2), (5, 4), (6, 4)))
@@ -76,6 +83,20 @@ class TestWeightedFileNumbers:
                     )
                     assert vector[k] == direct
                     assert vector[k] == brute_weighted_file_number(board, m, k)
+
+    def test_wide_board_has_no_depth_limit(self):
+        # 1,200 columns of height 1 at m = 1: a second rook in the row weighs 0
+        assert weighted_file_numbers(make_board((1,) * 1200), 1) == (1, 1200) + (0,) * 1199
+
+    @given(st.lists(st.integers(0, 8), max_size=5).map(sorted), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_counters_match_brute_force(self, heights, m):
+        board = make_board(heights)
+        rooks = rook_numbers(board, m)
+        files = weighted_file_numbers(board, m)
+        for k in range(board.n + 1):
+            assert rooks[k] == brute_rook_count(board, m, k)
+            assert files[k] == brute_weighted_file_number(board, m, k)
 
 
 class TestRoots:
@@ -262,6 +283,10 @@ class TestCensus:
     def test_bad_levels_rejected(self):
         with pytest.raises(ValueError):
             census_level_numbers((1, -2), 2)
+
+    def test_bool_levels_rejected(self):
+        with pytest.raises(ValueError, match="level number"):
+            census_level_numbers((True, 2), 1)
 
     def test_round_trip_containment(self):
         from mlrook.boards import level_numbers
