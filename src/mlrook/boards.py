@@ -51,15 +51,9 @@ class Cell(NamedTuple):
     row: int
 
 
-def _is_int(value: object) -> bool:
-    # bool is an int subclass, but True is not a height, coefficient or m.
-    # Hot callers test ``type(x) is not int`` first, so plain ints skip
-    # this call.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_m(m: int) -> None:
-    if (type(m) is not int and not _is_int(m)) or m < 1:
+    # bool is an int subclass, but True is not a count, height or coefficient
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"block size m must be a positive integer, got {m!r}")
 
 
@@ -88,7 +82,7 @@ class FerrersBoard:
         object.__setattr__(self, "heights", heights)
         prev = 0
         for i, h in enumerate(heights, start=1):
-            if type(h) is not int and not _is_int(h):
+            if isinstance(h, bool) or not isinstance(h, int):
                 raise InvalidBoardError(f"column {i}: height {h!r} is not an integer")
             if h < 0:
                 raise InvalidBoardError(f"column {i}: height {h} is negative")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .boards import _check_m, _is_int
+from .boards import _check_m
 
 __all__ = [
     "FFPoly",
@@ -35,8 +35,8 @@ def m_falling_factorial(value: int, k: int, m: int) -> int:
 
     The empty product (k = 0) is 1.
     """
-    if k < 0:
-        raise ValueError(f"factor count k must be non-negative, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"factor count k must be a non-negative integer, got {k!r}")
     _check_m(m)
     return math.prod(value - m * i for i in range(k))
 
@@ -76,7 +76,7 @@ class FFPoly:
     def __post_init__(self) -> None:
         coeffs = list(self.coeffs)
         for c in coeffs:
-            if type(c) is not int and not _is_int(c):
+            if isinstance(c, bool) or not isinstance(c, int):
                 raise ValueError(f"coefficient {c!r} is not an integer")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -174,7 +174,7 @@ class RootMultiset:
     def __post_init__(self) -> None:
         constants = tuple(sorted(self.constants))
         for c in constants:
-            if type(c) is not int and not _is_int(c):
+            if isinstance(c, bool) or not isinstance(c, int):
                 raise ValueError(f"root constant {c!r} is not an integer")
         object.__setattr__(self, "constants", constants)
 

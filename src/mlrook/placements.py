@@ -133,8 +133,8 @@ def is_m_level_rook_placement(placement: FilePlacement, m: int) -> bool:
 
 
 def _check_k(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"rook count k must be non-negative, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"rook count k must be a non-negative integer, got {k!r}")
 
 
 def _walk(
@@ -214,30 +214,61 @@ def _block_sums(heights: tuple[int, ...], size: int, t: int) -> tuple[int, ...]:
     the product over blocks of ``size`` consecutive rows of
     ``ff(1, rooks_in_block, t)``.
 
-    One sweep over the columns keeps a map from rooks-per-block vectors
-    to the summed weight of the partial placements giving that vector.
-    A column either stays empty or adds a rook to one of its blocks;
+    One sweep over the columns keeps a map from block-occupancy states
+    to the summed weight of the partial placements in that state.  A
+    column either stays empty or adds a rook to one of its blocks;
     adding a rook to a block already holding c rooks multiplies the
     weight by ``1 - c*t``, and the block's rows in the column give equal
     branches, so the factor also carries that row count.  A zero factor
-    drops the branch.  The sum reads only the heights, never a product
-    form, so checking a product form against it is a real check.
+    drops the branch.
+
+    Heights weakly increase, so every block wholly below the current
+    column top is whole in every later column too, and such blocks are
+    interchangeable.  A state is therefore ``(hist, cut)``: ``hist[i]``
+    counts the whole blocks holding i + 1 rooks, and ``cut`` is the rook
+    count of the block the column top cuts.  Its size is bounded by the
+    rooks placed, not by the height.  The sum reads only the heights,
+    never a product form, so checking a product form against it is a
+    real check.
     """
-    nblocks = -(-max(heights, default=0) // size)  # blocks the tallest column meets
-    states = {(0,) * nblocks: 1}
+    states = {((), 0): 1}
+    whole = 0  # blocks wholly below the previous column top
     for h in heights:
+        top, rem = divmod(h, size)
+        if top > whole:  # the cut block, if any rook is in it, is now whole
+            merged: dict = {}
+            for (hist, cut), w in states.items():
+                key = (_shift(hist, 0, cut) if cut else hist, 0)
+                merged[key] = merged.get(key, 0) + w
+            states = merged
+            whole = top
         grown = dict(states)  # the column stays empty
-        for rooks, w in states.items():
-            for b in range(-(-h // size)):
-                factor = (1 - rooks[b] * t) * min(size, h - b * size)
+        for (hist, cut), w in states.items():
+            branches = [(0, top - sum(hist))]  # empty whole blocks
+            branches += [(c, n) for c, n in enumerate(hist, start=1) if n]
+            for c, n in branches:
+                factor = n * (1 - c * t) * size
                 if factor:
-                    key = rooks[:b] + (rooks[b] + 1,) + rooks[b + 1 :]
+                    key = (_shift(hist, c, c + 1), cut)
                     grown[key] = grown.get(key, 0) + w * factor
+            factor = (1 - cut * t) * rem
+            if factor:
+                key = (hist, cut + 1)
+                grown[key] = grown.get(key, 0) + w * factor
         states = grown
     sums = [0] * (len(heights) + 1)
-    for rooks, w in states.items():
-        sums[sum(rooks)] += w
+    for (hist, cut), w in states.items():
+        sums[sum(c * n for c, n in enumerate(hist, start=1)) + cut] += w
     return tuple(sums)
+
+
+def _shift(hist: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
+    # move one whole block from ``old`` rooks (0: an empty block) to ``new``
+    counts = list(hist) + [0] * (new - len(hist))
+    if old:
+        counts[old - 1] -= 1
+    counts[new - 1] += 1
+    return tuple(counts)
 
 
 def rook_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:

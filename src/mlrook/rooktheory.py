@@ -40,7 +40,6 @@ from typing import Collection, Iterable, Mapping
 from .boards import (
     FerrersBoard,
     _check_m,
-    _is_int,
     is_singleton,
     level_numbers,
     zones,
@@ -287,7 +286,7 @@ def census_level_numbers(
     _check_m(m)
     levels = tuple(levels)
     for l in levels:
-        if not _is_int(l) or l < 0:
+        if isinstance(l, bool) or not isinstance(l, int) or l < 0:
             raise ValueError(f"level number {l!r} is not a non-negative integer")
     table = _census_table(len(levels), m)
     return tuple(FerrersBoard(h) for h in table.get(levels, ()))

@@ -36,6 +36,10 @@ class TestMFallingFactorial:
         with pytest.raises(ValueError):
             m_falling_factorial(3, -1, 2)
 
+    def test_bool_k_rejected(self):
+        with pytest.raises(ValueError):
+            m_falling_factorial(5, True, 2)
+
     def test_bad_m_rejected(self):
         with pytest.raises(ValueError):
             m_falling_factorial(3, 1, 0)

@@ -180,9 +180,20 @@ class TestRookNumbers:
     def test_k_beyond_columns(self):
         assert rook_number(make_board((1, 2)), 1, 5) == 0
 
+    def test_bool_k_rejected(self):
+        board = make_board((1, 2))
+        with pytest.raises(ValueError):
+            rook_number(board, 1, True)
+        with pytest.raises(ValueError):
+            list(enumerate_file_placements(board, True))
+
     def test_wide_board_has_no_depth_limit(self):
         # 1,200 columns of height 1: every rook sits in the same level
         assert rook_numbers(make_board((1,) * 1200), 2) == (1, 1200) + (0,) * 1199
+
+    def test_few_tall_columns(self):
+        # 1,000 levels but two columns: the work must not grow with the levels
+        assert rook_numbers(make_board((1000, 1000)), 1) == (1, 2000, 999000)
 
     def test_vector_matches_enumeration_and_oracle(self):
         for board in boards_up_to(4, 5):

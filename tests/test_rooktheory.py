@@ -88,6 +88,10 @@ class TestWeightedFileNumbers:
         # 1,200 columns of height 1 at m = 1: a second rook in the row weighs 0
         assert weighted_file_numbers(make_board((1,) * 1200), 1) == (1, 1200) + (0,) * 1199
 
+    def test_few_tall_columns(self):
+        # f_2 = 1000 * 1000 + 1000 * (1 - m): a shared row weighs 1 - m
+        assert weighted_file_numbers(make_board((1000, 1000)), 2) == (1, 2000, 998000)
+
     @given(st.lists(st.integers(0, 8), max_size=5).map(sorted), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_counters_match_brute_force(self, heights, m):
