@@ -20,6 +20,7 @@ All values are immutable and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -183,24 +184,23 @@ def level_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
 
     Entry j (1-indexed) counts the cells in level ``n+1-j``, so the last
     entry is the bottom level.  The board must fit its n ambient levels;
-    a board with ``b_n > m*n`` is rejected.
+    a board with ``b_n > m*n`` is rejected.  A column of height
+    ``q*m + r`` fills levels 1..q and puts r cells in level q+1.
     """
     _check_m(m)
     n = board.n
-    if n == 0:
-        return ()
-    if board.heights[-1] > m * n:
+    if n and board.heights[-1] > m * n:
         raise AmbientSizeError(
             f"board height {board.heights[-1]} exceeds the {n}-level grid of {m * n} rows"
         )
-    counts = [0] * n
+    full = [0] * (n + 1)  # full[q]: columns of height q*m + r
+    partial = [0] * (n + 1)  # partial[q]: their r cells in level q+1
     for h in board.heights:
-        for j in range(n):
-            if h <= m * j:
-                break
-            counts[j] += min(m, h - m * j)
-    counts.reverse()
-    return tuple(counts)
+        q, r = divmod(h, m)
+        full[q] += 1
+        partial[q] += r
+    through = accumulate(reversed(full[1:]))  # columns filling level n, n-1, ..., 1
+    return tuple(m * t + r for t, r in zip(through, reversed(partial[:n])))
 
 
 def is_singleton(board: FerrersBoard, m: int) -> bool:

@@ -125,8 +125,8 @@ class CancellationClass:
 
     def __post_init__(self) -> None:
         _check_m(self.m)
-        if self.level < 1:
-            raise ValueError(f"levels are 1-indexed, got {self.level}")
+        if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
+            raise ValueError(f"levels are 1-indexed integers, got {self.level!r}")
         fixed = tuple(sorted(Cell(c, r) for c, r in self.fixed_cells))
         movable = tuple(sorted(self.movable_columns))
         object.__setattr__(self, "fixed_cells", fixed)
@@ -229,18 +229,16 @@ def reintroduction_sum(
     _check_m(m)
     if level < 1:
         raise ValueError(f"levels are 1-indexed, got {level}")
-    board = placement.board
-    if not 1 <= column <= board.n:
-        raise ValueError(f"column {column} out of range 1..{board.n}")
+    if isinstance(column, bool) or not isinstance(column, int):
+        raise ValueError(f"column {column!r} is not an integer")
     if column in placement.occupied:
         raise ValueError(f"column {column} is already occupied")
-    if board.column_height(column) < m * level:
+    if placement.board.column_height(column) < m * level:
         raise ValueError(
             f"column {column} meets level {level} in fewer than {m} cells"
         )
-    return sum(
-        weight(placement.with_rook(column, row), m) for row in _rows_of_level(level, m)
-    )
+    rows = _rows_of_level(level, m)
+    return sum(_row_weight(placement.cells + ((column, row),), m) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,6 @@ def _parse_levels(text: str) -> tuple[int, ...]:
             raise ValueError(
                 f"bad levels string: token {token.strip()!r} at position {pos}"
             ) from None
-        if value < 0:
-            raise ValueError(f"level number at position {pos} is negative")
         out.append(value)
     return tuple(out)
 

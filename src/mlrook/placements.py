@@ -54,7 +54,11 @@ class FilePlacement:
     cells: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(sorted(Cell(c, r) for c, r in self.cells))
+        cells = tuple(Cell(c, r) for c, r in self.cells)
+        for col, row in cells:  # before sorting, which may compare them
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in (col, row)):
+                raise InvalidPlacementError(f"cell {col!r}:{row!r} is not a pair of integers")
+        cells = tuple(sorted(cells))
         object.__setattr__(self, "cells", cells)
         prev_col = 0
         for col, row in cells:
@@ -96,10 +100,6 @@ class FilePlacement:
             level = (row + m - 1) // m
             counts[level] = counts.get(level, 0) + 1
         return counts
-
-    def with_rook(self, column: int, row: int) -> "FilePlacement":
-        """New placement with one more rook; the column must be free."""
-        return FilePlacement(self.board, self.cells + (Cell(column, row),))
 
     def without_column(self, column: int) -> "FilePlacement":
         """New placement with the rook of ``column`` removed."""
@@ -283,6 +283,7 @@ def rook_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
 
 def rook_number(board: FerrersBoard, m: int, k: int) -> int:
     """The m-level rook number ``r_k``; 0 for k beyond the column count."""
+    _check_m(m)
     _check_k(k)
     if k > board.n:
         return 0

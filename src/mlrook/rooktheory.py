@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Collection, Iterable, Mapping
 
 from .boards import (
@@ -262,31 +260,36 @@ def m_level_equivalent(b1: FerrersBoard, b2: FerrersBoard, m: int) -> bool:
     return b1.n == b2.n and rook_numbers(b1, m) == rook_numbers(b2, m)
 
 
-@lru_cache(maxsize=32)
-def _census_table(n: int, m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    # level numbers -> all matching height vectors, over the complete
-    # finite space of n-column boards inside the n-level ambient grid
-    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for heights in combinations_with_replacement(range(m * n + 1), n):
-        key = level_numbers(FerrersBoard(heights), m)
-        table.setdefault(key, []).append(heights)
-    return {key: tuple(boards) for key, boards in table.items()}
-
-
 def census_level_numbers(
     levels: Iterable[int], m: int
 ) -> tuple[FerrersBoard, ...]:
     """All Ferrers boards whose top-down level numbers equal ``levels``.
 
-    Exhausts every weakly increasing height vector with ``b_n <= m*n``
-    (the bound forced by having n level numbers), so the answer is
-    complete.  Boards come back in lexicographic height order; the empty
-    tuple is a valid (empty) answer.
+    Builds them top level first: the columns already placed give m cells
+    each, and new columns topping out in the level give the rest, 1..m
+    cells each, added right to left in non-increasing parts so heights
+    stay sorted.  Every split is tried, so the answer is complete.
+    Boards come back in lexicographic height order; the empty tuple is
+    a valid (empty) answer.
     """
     _check_m(m)
     levels = tuple(levels)
     for l in levels:
         if isinstance(l, bool) or not isinstance(l, int) or l < 0:
             raise ValueError(f"level number {l!r} is not a non-negative integer")
-    table = _census_table(len(levels), m)
-    return tuple(FerrersBoard(h) for h in table.get(levels, ()))
+    n = len(levels)
+    found = []
+    # (j, rest, cap, tops): level n-j needs rest more cells from new columns
+    # of at most cap cells each; tops holds the placed heights right to left
+    stack = [(-1, 0, m, ())]
+    while stack:
+        j, rest, cap, tops = stack.pop()
+        free = n - len(tops)
+        if rest == 0 and j + 1 == n:
+            found.append((0,) * free + tops[::-1])
+        elif rest == 0:  # level n-j is complete: open the one below it
+            stack.append((j + 1, levels[j + 1] - m * len(tops), m, tops))
+        elif 0 < rest <= cap * free:  # else the free columns cannot hold the rest
+            for part in range(min(cap, rest), -(-rest // free) - 1, -1):
+                stack.append((j, rest - part, part, tops + (m * (n - 1 - j) + part,)))
+    return tuple(FerrersBoard(heights) for heights in sorted(found))

@@ -53,6 +53,19 @@ def brute_level_numbers(board, m):
     return tuple(counts)
 
 
+def brute_census(levels, m):
+    """Height vectors of every board whose top-down level numbers equal
+    levels, by scanning all weakly increasing heights up to m*n (a cell
+    total other than sum(levels) rules a candidate out early)."""
+    n = len(levels)
+    return [
+        heights
+        for heights in itertools.combinations_with_replacement(range(m * n + 1), n)
+        if sum(heights) == sum(levels)
+        and brute_level_numbers(FerrersBoard(heights), m) == tuple(levels)
+    ]
+
+
 def brute_weight(cells, m):
     """Weight of a placement given as cell tuples, from the definition."""
     row_counts = {}

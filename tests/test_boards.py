@@ -122,6 +122,8 @@ class TestLevelNumbers:
 
     def test_example_wide(self):
         assert level_numbers(make_board((1, 3, 4, 4, 4, 4, 4)), 2) == (0, 0, 0, 0, 0, 11, 13)
+        # 5,000 columns 0, 2, ..., 9998: level j from the top holds 2(j-1) cells
+        assert level_numbers(make_board(range(0, 10_000, 2)), 2) == tuple(range(0, 10_000, 2))
 
     def test_empty(self):
         assert level_numbers(make_board(()), 5) == ()

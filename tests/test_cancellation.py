@@ -123,6 +123,11 @@ class TestCanonicalClass:
             # no fixed rook inside the anchor level
             CancellationClass(board, 2, 1, (Cell(1, 3),), (2,))
 
+    def test_bool_level_rejected(self):
+        board = make_board((4, 4, 4))
+        with pytest.raises(ValueError, match="levels are 1-indexed"):
+            CancellationClass(board, 2, True, (Cell(1, 1),), (2,))
+
 
 class TestClassMembers:
     def test_worked_example_members_and_weights(self):
@@ -239,6 +244,11 @@ class TestReintroduction:
             reintroduction_sum(fhat, 1, 2, 2)  # column misses level 2
         with pytest.raises(ValueError):
             reintroduction_sum(fhat, 3, 1, 2)  # no such column
+
+    def test_bool_column_rejected(self):
+        fhat = FilePlacement(make_board((4, 4)), ((2, 1),))
+        with pytest.raises(ValueError, match="not an integer"):
+            reintroduction_sum(fhat, True, 1, 2)
 
 
 class TestVerifyCover:

@@ -317,6 +317,14 @@ class TestCensus:
         assert code == 0
         assert json.loads(out)["boards"] == ["0,2,2,4", "0,2,3,3", "1,1,2,4", "1,1,3,3"]
 
+    def test_negative_level_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "census", "--levels", "0,-1", "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "-1" in err
+        assert "\n" not in err.strip()
+
 
 class TestErrorsAndDeterminism:
     def test_bad_board_exits_2(self, capsys):

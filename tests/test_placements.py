@@ -43,9 +43,15 @@ class TestFilePlacementValue:
         assert p.occupied == {1: 4, 2: 2, 3: 1, 4: 3}
         assert p.level_counts(2) == {2: 2, 1: 2}
 
+    def test_non_integer_cells_rejected(self):
+        board = make_board((1, 2))
+        for cells in (((2, 2.0),), ((True, 1),), ((1, 1), (2, False)), (("a", 1), (2, 1))):
+            with pytest.raises(InvalidPlacementError, match="not a pair of integers"):
+                FilePlacement(board, cells)
+
     def test_with_and_without_rook(self):
         p = FilePlacement(make_board((1, 2)), ((1, 1),))
-        q = p.with_rook(2, 2)
+        q = FilePlacement(make_board((1, 2)), ((1, 1), (2, 2)))
         assert len(q) == 2
         assert q.without_column(2) == p
         with pytest.raises(ValueError):
@@ -179,6 +185,12 @@ class TestRookNumbers:
 
     def test_k_beyond_columns(self):
         assert rook_number(make_board((1, 2)), 1, 5) == 0
+
+    def test_bad_m_rejected_beyond_columns(self):
+        board = make_board((1, 2))
+        for m in (0, True):
+            with pytest.raises(ValueError, match="block size m"):
+                rook_number(board, m, 5)
 
     def test_bool_k_rejected(self):
         board = make_board((1, 2))

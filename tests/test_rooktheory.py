@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlrook.boards import AmbientSizeError, make_board
+from mlrook.boards import AmbientSizeError, level_numbers, make_board
 from mlrook.ffpoly import FFPoly, RootMultiset, expand_roots
 from mlrook.placements import (
     FilePlacement,
@@ -27,6 +27,7 @@ from mlrook.rooktheory import (
 )
 from oracles import (
     boards_up_to,
+    brute_census,
     brute_level_numbers,
     brute_rook_count,
     brute_weighted_file_number,
@@ -273,10 +274,14 @@ class TestCensus:
     def test_single_match(self):
         boards = census_level_numbers((1, 2), 1)
         assert [b.heights for b in boards] == [(1, 2)]
+        boards = census_level_numbers((3,), 10**9)
+        assert [b.heights for b in boards] == [(3,)]
 
     def test_all_zero_levels(self):
         boards = census_level_numbers((0, 0, 0), 2)
         assert [b.heights for b in boards] == [(0, 0, 0)]
+        boards = census_level_numbers((0,) * 10, 9)
+        assert [b.heights for b in boards] == [(0,) * 10]
 
     def test_empty_query(self):
         assert [b.heights for b in census_level_numbers((), 3)] == [()]
@@ -293,8 +298,6 @@ class TestCensus:
             census_level_numbers((True, 2), 1)
 
     def test_round_trip_containment(self):
-        from mlrook.boards import level_numbers
-
         for board in boards_up_to(3, 6):
             for m in (1, 2, 3):
                 if board.n and board.heights[-1] > m * board.n:
@@ -307,3 +310,36 @@ class TestCensus:
         for m in (2, 3):
             for board in census_level_numbers(query, m):
                 assert brute_level_numbers(board, m) == query
+
+    def test_matches_brute_census_on_realised_levels(self):
+        for m in (1, 2, 3):
+            realised = {
+                brute_level_numbers(board, m)
+                for board in boards_up_to(4, 4 * m)
+                if board.n == 0 or board.heights[-1] <= m * board.n
+            }
+            for query in realised:
+                boards = census_level_numbers(query, m)
+                assert [b.heights for b in boards] == brute_census(query, m), (query, m)
+
+    def test_matches_brute_census_on_every_small_vector(self):
+        # most of these vectors are realised by no board at all
+        for m in (1, 2):
+            for n in range(4):
+                for query in itertools.product(range(m * n + 1), repeat=n):
+                    boards = census_level_numbers(query, m)
+                    assert [b.heights for b in boards] == brute_census(query, m), (query, m)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_random_boards(self, data):
+        m = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(0, 6))
+        heights = sorted(data.draw(st.lists(st.integers(0, m * n), min_size=n, max_size=n)))
+        board = make_board(heights)
+        levels = level_numbers(board, m)
+        assert levels == brute_level_numbers(board, m)
+        census = census_level_numbers(levels, m)
+        assert board in census
+        for member in census:
+            assert brute_level_numbers(member, m) == levels
