@@ -27,7 +27,7 @@ are rejected loudly rather than mis-partitioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
 from .boards import Cell, FerrersBoard, _check_m, _rows_of_level, is_singleton
@@ -127,8 +127,12 @@ class CancellationClass:
         _check_m(self.m)
         if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
             raise ValueError(f"levels are 1-indexed integers, got {self.level!r}")
-        fixed = tuple(sorted(Cell(c, r) for c, r in self.fixed_cells))
-        movable = tuple(sorted(self.movable_columns))
+        fixed = tuple(Cell(c, r) for c, r in self.fixed_cells)
+        movable = tuple(self.movable_columns)
+        for x in chain(*fixed, movable):  # before sorting, which may compare them
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"cell coordinate or movable column {x!r} is not an integer")
+        fixed, movable = tuple(sorted(fixed)), tuple(sorted(movable))
         object.__setattr__(self, "fixed_cells", fixed)
         object.__setattr__(self, "movable_columns", movable)
 
@@ -227,8 +231,8 @@ def reintroduction_sum(
     instead of cancelling.
     """
     _check_m(m)
-    if level < 1:
-        raise ValueError(f"levels are 1-indexed, got {level}")
+    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
+        raise ValueError(f"levels are 1-indexed integers, got {level!r}")
     if isinstance(column, bool) or not isinstance(column, int):
         raise ValueError(f"column {column!r} is not an integer")
     if column in placement.occupied:

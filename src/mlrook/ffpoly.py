@@ -10,7 +10,9 @@ carries a basis tag:
 
 Basis conversion goes through synthetic division by the monic basis
 polynomials (nodes 0, m, 2m, ...), which is exact over the integers in
-both directions.
+both directions.  Root expansion and the conversion back to the power
+basis share one multiply-by-(x + c) kernel that writes each output
+coefficient once.
 """
 
 from __future__ import annotations
@@ -35,19 +37,22 @@ def m_falling_factorial(value: int, k: int, m: int) -> int:
 
     The empty product (k = 0) is 1.
     """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"value {value!r} is not an integer")
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError(f"factor count k must be a non-negative integer, got {k!r}")
     _check_m(m)
-    return math.prod(value - m * i for i in range(k))
+    return math.prod(range(value, value - m * k, -m))
 
 
 def _mul_linear(coeffs: list[int], constant: int) -> list[int]:
-    # multiply a power-basis coefficient list by (x + constant)
-    out = [0] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] += c
-        out[i] += constant * c
-    return out
+    # multiply a non-empty power-basis coefficient list by (x + constant);
+    # each output coefficient is written once, from the two inputs it sums
+    return [
+        constant * coeffs[0],
+        *[p + constant * q for p, q in zip(coeffs, coeffs[1:])],
+        coeffs[-1],
+    ]
 
 
 def _divmod_linear(coeffs: list[int], node: int) -> tuple[list[int], int]:
@@ -94,6 +99,8 @@ class FFPoly:
 
     def eval(self, x: int) -> int:
         """Exact evaluation at an integer point, respecting the basis."""
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"evaluation point {x!r} is not an integer")
         result = 0
         if self.m is None:
             for c in reversed(self.coeffs):
@@ -107,9 +114,9 @@ class FFPoly:
         """Re-express in the power basis (identity if already there)."""
         if self.m is None:
             return self
-        # Horner over the basis nodes 0, m, 2m, ...
-        acc: list[int] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
+        # Horner over the basis nodes 0, m, 2m, ..., from the leading coefficient
+        acc = list(self.coeffs[-1:])  # empty for the zero polynomial
+        for k in range(len(self.coeffs) - 2, -1, -1):
             acc = _mul_linear(acc, -k * self.m)
             acc[0] += self.coeffs[k]
         return FFPoly(tuple(acc), None)
@@ -172,11 +179,11 @@ class RootMultiset:
     constants: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        constants = tuple(sorted(self.constants))
-        for c in constants:
+        constants = tuple(self.constants)
+        for c in constants:  # before sorting, which may compare them
             if isinstance(c, bool) or not isinstance(c, int):
                 raise ValueError(f"root constant {c!r} is not an integer")
-        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "constants", tuple(sorted(constants)))
 
     def __iter__(self):
         return iter(self.constants)
@@ -188,8 +195,9 @@ def expand_roots(roots: RootMultiset | Iterable[int]) -> FFPoly:
     The empty multiset gives the constant 1.  Permuting the roots cannot
     change the result.
     """
-    constants = roots.constants if isinstance(roots, RootMultiset) else tuple(roots)
+    if not isinstance(roots, RootMultiset):
+        roots = RootMultiset(tuple(roots))
     acc = [1]
-    for c in constants:
+    for c in roots.constants:
         acc = _mul_linear(acc, c)
     return FFPoly(tuple(acc), None)

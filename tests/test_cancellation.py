@@ -128,6 +128,22 @@ class TestCanonicalClass:
         with pytest.raises(ValueError, match="levels are 1-indexed"):
             CancellationClass(board, 2, True, (Cell(1, 1),), (2,))
 
+    @pytest.mark.parametrize(
+        "fixed, movable",
+        [
+            ((Cell(True, 1),), (2,)),
+            ((Cell(1, True),), (2,)),
+            ((Cell(1, 1.0),), (2,)),
+            ((Cell(1, 1),), (True,)),
+            ((Cell(1, 1),), (2.0,)),
+            ((Cell(1, 1),), (2, "3")),
+        ],
+    )
+    def test_non_integer_cell_or_column_rejected(self, fixed, movable):
+        board = make_board((4, 4, 4))
+        with pytest.raises(ValueError, match="is not an integer"):
+            CancellationClass(board, 2, 1, fixed, movable)
+
 
 class TestClassMembers:
     def test_worked_example_members_and_weights(self):
@@ -249,6 +265,12 @@ class TestReintroduction:
         fhat = FilePlacement(make_board((4, 4)), ((2, 1),))
         with pytest.raises(ValueError, match="not an integer"):
             reintroduction_sum(fhat, True, 1, 2)
+
+    @pytest.mark.parametrize("level", [True, 1.5, 0])
+    def test_bad_level_rejected(self, level):
+        fhat = FilePlacement(make_board((4, 4)), ((1, 1),))
+        with pytest.raises(ValueError, match="levels are 1-indexed integers"):
+            reintroduction_sum(fhat, 2, level, 2)
 
 
 class TestVerifyCover:

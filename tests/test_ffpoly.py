@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,13 @@ class TestMFallingFactorial:
                 expected = math.prod(v - i for i in range(k))
                 assert m_falling_factorial(v, k, 1) == expected
 
+    def test_matches_definition(self):
+        for m in (1, 2, 3, 4):
+            for v in range(-6, 7):
+                for k in range(7):
+                    expected = math.prod(v - m * i for i in range(k))
+                    assert m_falling_factorial(v, k, m) == expected
+
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             m_falling_factorial(3, -1, 2)
@@ -43,6 +51,11 @@ class TestMFallingFactorial:
     def test_bad_m_rejected(self):
         with pytest.raises(ValueError):
             m_falling_factorial(3, 1, 0)
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_non_integer_value_rejected(self, value):
+        with pytest.raises(ValueError, match="not an integer"):
+            m_falling_factorial(value, 2, 1)
 
 
 class TestExpandRoots:
@@ -76,6 +89,33 @@ class TestExpandRoots:
         with pytest.raises(ValueError):
             RootMultiset((True, 2))
 
+    @pytest.mark.parametrize("roots", [[True], [0.5], (2, "a")])
+    def test_non_integer_plain_roots_rejected(self, roots):
+        with pytest.raises(ValueError, match="root constant .* is not an integer"):
+            expand_roots(roots)
+
+
+# 400 root constants of the size the poly workload reaches, with zeros
+# and a repeated constant among them
+BIG_RNG = random.Random(2006)
+BIG_ROOTS = [BIG_RNG.randint(-10**6, 10**6) for _ in range(380)] + [0] * 10 + [7] * 10
+BIG_RNG.shuffle(BIG_ROOTS)
+
+
+class TestLargeExpansion:
+    def test_expand_matches_direct_product(self):
+        p = expand_roots(BIG_ROOTS)
+        assert len(p.coeffs) == 401 and p.coeffs[0] == 0 and p.coeffs[-1] == 1
+        for x in (-7, -2, 0, 3, 10**6 + 1):
+            assert p.eval(x) == math.prod(x + c for c in BIG_ROOTS)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_round_trip(self, m):
+        p = expand_roots(BIG_ROOTS)
+        q = to_basis(p, m)
+        assert q.m == m and len(q.coeffs) == 401
+        assert to_basis(q, None) == p
+
 
 class TestFFPolyBasics:
     def test_trailing_zeros_stripped(self):
@@ -93,6 +133,12 @@ class TestFFPolyBasics:
         assert p.eval(1) == 4
         assert p.eval(0) == 0
         assert p.eval(-1) == 0
+
+    @pytest.mark.parametrize("x", [2.5, True])
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_eval_non_integer_rejected(self, x, m):
+        with pytest.raises(ValueError, match="not an integer"):
+            FFPoly((1, 1), m).eval(x)
 
     def test_eval_constant(self):
         one = FFPoly.power((1,))
@@ -121,6 +167,11 @@ class TestBasisConversion:
         # ff(x, 2, 2) = x * (x - 2) = x^2 - 2x
         p = FFPoly.mfalling((0, 0, 1), 2)
         assert p.to_power().coeffs == (0, -2, 1)
+
+    def test_short_mfalling_to_power(self):
+        for m in (1, 2, 3):
+            assert FFPoly.mfalling((-5,), m).to_power() == FFPoly.power((-5,))
+            assert FFPoly.mfalling((), m).to_power() == FFPoly.power(())
 
     def test_zero_polynomial(self):
         assert to_basis(FFPoly.power(()), 3).coeffs == ()
