@@ -22,21 +22,26 @@ over the m ways to put it back multiplies the reduced weight by
 The construction needs every movable rook's column to meet l in all m
 cells, which the singleton condition guarantees; non-singleton boards
 are rejected loudly rather than mis-partitioned.
+
+``verify_cover`` checks the partition in one walk over the placements,
+keeping no set of them.  It counts the non-rook placements and sums
+their weights.  A class is checked when the walk reaches its first
+member, the one with every movable rook on the bottom row of l: its
+members are regenerated, each must map back to the class, and their
+weights must sum to zero.  The cover is then proved by counting.  A
+placement has one class, so the distinct members of the well-defined
+classes are distinct placements, and their number equals the non-rook
+count exactly when the classes are disjoint and exhaustive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterator
+from typing import Collection, Iterator, NamedTuple
 
 from .boards import Cell, FerrersBoard, _check_m, _rows_of_level, is_singleton
-from .placements import (
-    FilePlacement,
-    _cells_string,
-    _walk,
-    enumerate_file_placements,
-)
+from .placements import FilePlacement, _cells_string, _check_k, _walk
 from .rooktheory import _row_weight, weight
 
 __all__ = [
@@ -63,12 +68,19 @@ def nonrook_file_placements(
     Empty for k <= 1: a single rook never conflicts.
     """
     _check_m(m)
+    _check_k(k)
     for cells in _walk(board.heights, k):
         if _class_key(cells, m) is not None:
             yield FilePlacement._trusted(board, cells)
 
 
 _Key = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
+
+
+class _Walked(NamedTuple):
+    # a walked placement as ``weight`` reads it: its cells, left as the
+    # walker's plain tuples rather than converted to a FilePlacement's Cells
+    cells: tuple[tuple[int, int], ...]
 
 
 def _class_key(cells: tuple[tuple[int, int], ...], m: int) -> _Key | None:
@@ -168,6 +180,18 @@ class CancellationClass:
                     f"column {col} meets level {self.level} in fewer than {self.m} cells;"
                     " the class sweep would leave the board"
                 )
+
+    @classmethod
+    def _trusted(cls, board: FerrersBoard, m: int, key: _Key) -> "CancellationClass":
+        # a key the verifier derived from a walked placement: sorted, valid
+        level, fixed, movable = key
+        made = object.__new__(cls)
+        object.__setattr__(made, "board", board)
+        object.__setattr__(made, "m", m)
+        object.__setattr__(made, "level", level)
+        object.__setattr__(made, "fixed_cells", tuple(map(Cell._make, fixed)))
+        object.__setattr__(made, "movable_columns", movable)
+        return made
 
     @property
     def size(self) -> int:
@@ -305,58 +329,57 @@ class CoverReport:
 def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     """Partition the non-rook file placements of k rooks and check it.
 
-    Builds the class of every placement, then asserts well-definedness,
-    the disjoint-and-exhaustive cover, the per-class zero sums, and the
-    zero total.  Requires a singleton board.
+    One walk checks each class at its first member and proves the cover
+    by counting, as the module docstring describes.  Only a count that
+    falls short walks again, to name the first placement no class
+    credited.  Requires a singleton board.
     """
     _check_m(m)
+    _check_k(k)
     if not is_singleton(board, m):
         raise NonSingletonBoardError(
             f"board {board} is not a singleton board for m={m}"
         )
 
-    groups: dict[_Key, set[tuple]] = {}
-    total = 0
-    count = 0
-    for placement in enumerate_file_placements(board, k):
-        key = _class_key(placement.cells, m)
+    heights = board.heights
+    sums: dict[_Key, int] = {}
+    count = total = credited = 0
+    well_defined = True
+    sums_zero = True
+    witness: str | None = None
+    for cells in _walk(heights, k):
+        key = _class_key(cells, m)
         if key is None:
             continue
         count += 1
-        total += weight(placement, m)
-        groups.setdefault(key, set()).add(placement.cells)
-
-    sums: list[int] = []
-    well_defined = True
-    disjoint_cover = True
-    sums_zero = True
-    witness: str | None = None
-
-    keys = sorted(groups)
-    for key in keys:
+        total += weight(_Walked(cells), m)
+        if cells != _first_member(key, m):
+            continue
         members = list(_members(key, m))
-        for member in members:
-            if _class_key(member, m) != key:
-                well_defined = False
-                witness = witness or _cells_string(member)
-        member_set = set(members)
-        if member_set != groups[key]:
-            disjoint_cover = False
-            stray = next(iter(member_set.symmetric_difference(groups[key])))
+        stray = next((p for p in members if _class_key(p, m) != key), None)
+        if stray is None:
+            credited += len(_credited(key, members, heights, m))
+        else:
+            well_defined = False
             witness = witness or _cells_string(stray)
         s = sum(_row_weight(member, m) for member in members)
         if s != 0:
             sums_zero = False
             witness = witness or _cells_string(members[0])
-        sums.append(s)
+        sums[key] = s
 
+    disjoint_cover = credited == count
+    if not disjoint_cover and witness is None:
+        witness = _first_uncredited(heights, m, k, sums)
+
+    keys = sorted(sums)
     return CoverReport(
         board=board,
         m=m,
         k=k,
         nonrook_count=count,
-        classes=tuple(CancellationClass(board, m, *key) for key in keys),
-        class_sums=tuple(sums),
+        classes=tuple(CancellationClass._trusted(board, m, key) for key in keys),
+        class_sums=tuple(sums[key] for key in keys),
         well_defined=well_defined,
         disjoint_cover=disjoint_cover,
         class_sums_zero=sums_zero,
@@ -364,3 +387,41 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         total_weight=total,
         witness=witness,
     )
+
+
+def _first_member(key: _Key, m: int) -> tuple[tuple[int, int], ...]:
+    # every movable rook on the anchor level's bottom row, read off the key
+    level, fixed, movable = key
+    bottom = m * (level - 1) + 1
+    return tuple(sorted(fixed + tuple((col, bottom) for col in movable)))
+
+
+def _credited(
+    key: _Key, members: list[tuple[tuple[int, int], ...]], heights: tuple[int, ...], m: int
+) -> set[tuple[tuple[int, int], ...]]:
+    """The members a well-defined class adds to the count: distinct,
+    column-sorted like the walk's placements, and on the board.  The
+    fixed cells are on it already, being those of a walked placement."""
+    level, _, movable = key
+    if any(heights[col - 1] < m * level for col in movable):
+        return set()
+    return {p for p in members if all(a[0] < b[0] for a, b in zip(p, p[1:]))}
+
+
+def _first_uncredited(
+    heights: tuple[int, ...], m: int, k: int, checked: Collection[_Key]
+) -> str | None:
+    # failure path: the first non-rook placement that no checked,
+    # well-defined class credited
+    for cells in _walk(heights, k):
+        key = _class_key(cells, m)
+        if key is None:
+            continue
+        members = list(_members(key, m))
+        if (
+            key not in checked
+            or any(_class_key(p, m) != key for p in members)
+            or cells not in _credited(key, members, heights, m)
+        ):
+            return _cells_string(cells)
+    return None

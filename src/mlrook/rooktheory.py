@@ -30,8 +30,6 @@ states, and uses none of the product forms it is compared against.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping
 
@@ -42,7 +40,7 @@ from .boards import (
     level_numbers,
     zones,
 )
-from .ffpoly import FFPoly, RootMultiset, expand_roots, m_falling_factorial
+from .ffpoly import FFPoly, RootMultiset, expand_roots
 from .placements import FilePlacement, _block_sums, rook_numbers
 
 __all__ = [
@@ -74,9 +72,17 @@ def weight(placement: FilePlacement, m: int) -> int:
 
 
 def _row_weight(cells: Iterable[tuple[int, int]], m: int) -> int:
-    # ``weight`` of the placement given by its (column, row) cells
-    rows = Counter(row for _, row in cells)
-    return math.prod(m_falling_factorial(1, count, m) for count in rows.values())
+    # ``weight`` of the placement given by its (column, row) cells: adding
+    # a rook to a row already holding c rooks multiplies by ff's next
+    # factor, 1 - c*m
+    rows: dict[int, int] = {}
+    w = 1
+    for _, row in cells:
+        c = rows.get(row, 0)
+        if c:
+            w *= 1 - c * m
+        rows[row] = c + 1
+    return w
 
 
 def weighted_file_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:

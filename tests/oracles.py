@@ -108,3 +108,59 @@ def brute_singleton_by_levels(board, m):
         if partial >= 2:
             return False
     return True
+
+
+def brute_class_key(cells, m):
+    """(level, fixed cells, movable columns) of a placement's cancellation
+    class, from the rule: the canonical level holds the fewest rooks among
+    levels with at least two (ties to the lowest); its leftmost rook and
+    every rook outside it stay fixed; None when no level holds two."""
+    levels = [(row + m - 1) // m for _, row in cells]
+    conflicted = [level for level in set(levels) if levels.count(level) >= 2]
+    if not conflicted:
+        return None
+    level = min(conflicted, key=lambda l: (levels.count(l), l))
+    inside = [cell for cell, l in zip(cells, levels) if l == level]
+    fixed = tuple(sorted([cell for cell, l in zip(cells, levels) if l != level] + inside[:1]))
+    return level, fixed, tuple(col for col, _ in inside[1:])
+
+
+def brute_class_members(key, m):
+    """Every member of a class: each movable column takes each row of the
+    anchor level."""
+    level, fixed, movable = key
+    rows = range(m * (level - 1) + 1, m * level + 1)
+    for choice in itertools.product(rows, repeat=len(movable)):
+        yield tuple(sorted(fixed + tuple(zip(movable, choice))))
+
+
+def brute_cover(board, m, k):
+    """The cancellation partition of the non-rook k-rook file placements,
+    checked set by set: each placement is grouped under its class key,
+    and each class's regenerated members must map back to that key and
+    equal its group.  Returns the fields of a cover report as a dict,
+    with the classes as (level, fixed, movable) keys in sorted order."""
+    groups = {}
+    total = 0
+    for cells in brute_file_cells(board, k):
+        key = brute_class_key(cells, m)
+        if key is not None:
+            total += brute_weight(cells, m)
+            groups.setdefault(key, set()).add(cells)
+    well_defined = disjoint_cover = True
+    sums = []
+    for key in sorted(groups):
+        members = list(brute_class_members(key, m))
+        well_defined &= all(brute_class_key(p, m) == key for p in members)
+        disjoint_cover &= set(members) == groups[key]
+        sums.append(sum(brute_weight(p, m) for p in members))
+    return {
+        "nonrook_count": sum(len(group) for group in groups.values()),
+        "classes": sorted(groups),
+        "class_sums": sums,
+        "well_defined": well_defined,
+        "disjoint_cover": disjoint_cover,
+        "class_sums_zero": not any(sums),
+        "total_zero": total == 0,
+        "total_weight": total,
+    }

@@ -1,7 +1,12 @@
+import math
+import tracemalloc
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mlrook.cancellation as cancellation
-from mlrook.boards import Cell, is_singleton, make_board
+from mlrook.boards import Cell, FerrersBoard, is_singleton, make_board
 from mlrook.cancellation import (
     CancellationClass,
     NonSingletonBoardError,
@@ -13,7 +18,7 @@ from mlrook.cancellation import (
 )
 from mlrook.placements import FilePlacement, enumerate_file_placements
 from mlrook.rooktheory import weight
-from oracles import boards_up_to
+from oracles import boards_up_to, brute_cover
 
 # the worked four-member class: 7-column board, m = 2
 WIDE_BOARD = make_board((1, 3, 4, 4, 4, 4, 4))
@@ -26,7 +31,15 @@ def singleton_boards(max_n, max_h, m):
             yield board
 
 
+BAD_KS = [True, -1, 1.5]
+
+
 class TestNonRookStream:
+    @pytest.mark.parametrize("k", BAD_KS)
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(ValueError, match="rook count k"):
+            list(nonrook_file_placements(make_board((2, 2)), 2, k))
+
     def test_two_column_board(self):
         placements = list(nonrook_file_placements(make_board((1, 2)), 2, 2))
         assert [p.to_string() for p in placements] == ["1:1;2:1", "1:1;2:2"]
@@ -376,3 +389,116 @@ class TestVerifyCover:
         assert not report.total_zero
         assert report.total_weight == 4
         assert not report.ok
+
+    @pytest.mark.parametrize("k", BAD_KS)
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(ValueError, match="rook count k"):
+            verify_cover(make_board((2, 2)), 2, k)
+
+    def test_repeated_first_member_is_caught(self, monkeypatch):
+        # the first member m^j times: a count of members with no
+        # distinctness check would credit every class in full
+        def first_member_repeated(key, m):
+            level, fixed, movable = key
+            first = tuple(sorted(fixed + tuple((c, m * level - m + 1) for c in movable)))
+            for _ in range(m ** len(movable)):
+                yield first
+
+        monkeypatch.setattr(cancellation, "_members", first_member_repeated)
+        report = verify_cover(make_board((2, 2)), 2, 2)
+        assert report.well_defined
+        assert not report.disjoint_cover
+        assert report.witness is not None
+
+    def test_unsorted_member_is_not_credited(self, monkeypatch):
+        # the first member with the anchor level's rooks listed first may
+        # still map back to its class; where that order is not the column
+        # order, this copy of the first member displaces the last one, and
+        # the count must not credit it
+        real_members = cancellation._members
+
+        def first_member_reordered_last(key, m):
+            members = list(real_members(key, m))
+            reordered = tuple(
+                sorted(members[0], key=lambda cell: (cell[1] + m - 1) // m != key[0])
+            )
+            if reordered != members[0] and cancellation._class_key(reordered, m) == key:
+                members[-1] = reordered
+            return iter(members)
+
+        monkeypatch.setattr(cancellation, "_members", first_member_reordered_last)
+        report = verify_cover(make_board((2, 4, 4)), 2, 3)
+        assert report.well_defined
+        assert not report.disjoint_cover
+        assert report.witness is not None
+
+    def test_classes_equal_public_construction(self):
+        for m in (2, 3):
+            for board in singleton_boards(4, 2 * m, m):
+                for k in range(board.n + 1):
+                    for cls in verify_cover(board, m, k).classes:
+                        public = CancellationClass(
+                            board, m, cls.level, cls.fixed_cells, cls.movable_columns
+                        )
+                        assert cls == public
+                        assert all(type(cell) is Cell for cell in cls.fixed_cells)
+
+    def test_peak_memory_has_no_per_placement_sets(self):
+        board = make_board((1, 3, 4, 4, 4, 4, 4))
+        # a first call also stocks the interpreter's free lists, which
+        # tracemalloc would count once; measure the call after it
+        verify_cover(board, 2, 6)
+        tracemalloc.start()
+        try:
+            report = verify_cover(board, 2, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 2 * 2**20, peak
+
+
+PLACEMENT_BUDGET = 5000
+
+
+@st.composite
+def singleton_board_and_m(draw):
+    """A singleton board of at most 6 columns and heights at most m*n,
+    grown by steps of at most m rows: a column that would be the second
+    to enter a level partially is raised to the top of that level."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(0, 6))
+    steps = draw(st.lists(st.integers(0, m), min_size=n, max_size=n))
+    heights = []
+    partial = set()
+    h = 0
+    for step in steps:
+        h = min(h + step, m * n)
+        level = -(-h // m)
+        if h % m and level in partial:
+            h = m * level
+        elif h % m:
+            partial.add(level)
+        heights.append(h)
+    # the set-based oracle holds every placement: keep it to a few thousand
+    assume(math.prod(h + 1 for h in heights) <= PLACEMENT_BUDGET)
+    return FerrersBoard(tuple(heights)), m
+
+
+class TestVerifyCoverAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(singleton_board_and_m())
+    def test_matches_set_based_verifier(self, board_and_m):
+        board, m = board_and_m
+        assert is_singleton(board, m)
+        for k in range(board.n + 1):
+            report = verify_cover(board, m, k)
+            expected = brute_cover(board, m, k)
+            assert report.nonrook_count == expected["nonrook_count"]
+            assert [
+                (cls.level, cls.fixed_cells, cls.movable_columns) for cls in report.classes
+            ] == expected["classes"]
+            assert list(report.class_sums) == expected["class_sums"]
+            assert report.total_weight == expected["total_weight"]
+            for flag in ("well_defined", "disjoint_cover", "class_sums_zero", "total_zero"):
+                assert getattr(report, flag) is expected[flag], flag

@@ -30,6 +30,7 @@ from oracles import (
     brute_census,
     brute_level_numbers,
     brute_rook_count,
+    brute_weight,
     brute_weighted_file_number,
 )
 
@@ -67,6 +68,15 @@ class TestWeight:
             expected *= 1 - 3 * i
         assert weight(p, 3) == expected
         assert abs(expected) > 10**25
+
+    def test_matches_definition_on_every_small_placement(self):
+        for board in boards_up_to(4, 6):
+            placements = [
+                p for k in range(board.n + 1) for p in enumerate_file_placements(board, k)
+            ]
+            for m in (1, 2, 3, 4):
+                for p in placements:
+                    assert weight(p, m) == brute_weight(p.cells, m), (p, m)
 
 
 class TestWeightedFileNumbers:
