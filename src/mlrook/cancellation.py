@@ -31,7 +31,13 @@ members are regenerated, each must map back to the class, and their
 weights must sum to zero.  The cover is then proved by counting.  A
 placement has one class, so the distinct members of the well-defined
 classes are distinct placements, and their number equals the non-rook
-count exactly when the classes are disjoint and exhaustive.
+count exactly when the classes are disjoint and exhaustive.  That count
+is itself checked against ``e_k - r_k``: e_k, the number of file
+placements of k rooks, is the coefficient of ``x^(n-k)`` in
+``prod(x + h_i)``, and r_k is the m-level rook number from the
+block-weight sum.  So a class key that wrongly reads a placement as an
+m-level rook placement cannot drop its class from both sides of the
+count.
 """
 
 from __future__ import annotations
@@ -41,7 +47,15 @@ from itertools import chain, product
 from typing import Collection, Iterator, NamedTuple
 
 from .boards import Cell, FerrersBoard, _check_m, _rows_of_level, is_singleton
-from .placements import FilePlacement, _cells_string, _check_k, _walk
+from .ffpoly import expand_roots
+from .placements import (
+    FilePlacement,
+    _cells_string,
+    _check_k,
+    _walk,
+    is_m_level_rook_placement,
+    rook_number,
+)
 from .rooktheory import _row_weight, weight
 
 __all__ = [
@@ -78,8 +92,9 @@ _Key = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
 class _Walked(NamedTuple):
-    # a walked placement as ``weight`` reads it: its cells, left as the
-    # walker's plain tuples rather than converted to a FilePlacement's Cells
+    # a walked placement as ``weight`` and ``is_m_level_rook_placement``
+    # read it: its cells, left as the walker's plain tuples rather than
+    # converted to a FilePlacement's Cells
     cells: tuple[tuple[int, int], ...]
 
 
@@ -331,8 +346,11 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
 
     One walk checks each class at its first member and proves the cover
     by counting, as the module docstring describes.  Only a count that
-    falls short walks again, to name the first placement no class
-    credited.  Requires a singleton board.
+    fails walks again, to name the first placement it could not account
+    for.  A class is recorded only when the walk reaches its first
+    member, so when the count fails, ``classes``, ``class_sums``,
+    ``well_defined`` and ``class_sums_zero`` speak only for the classes
+    the walk reached.  Requires a singleton board.
     """
     _check_m(m)
     _check_k(k)
@@ -368,9 +386,9 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
             witness = witness or _cells_string(members[0])
         sums[key] = s
 
-    disjoint_cover = credited == count
+    disjoint_cover = credited == count == _nonrook_total(board, m, k)
     if not disjoint_cover and witness is None:
-        witness = _first_uncredited(heights, m, k, sums)
+        witness = _first_unaccounted(heights, m, k, sums)
 
     keys = sorted(sums)
     return CoverReport(
@@ -387,6 +405,15 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         total_weight=total,
         witness=witness,
     )
+
+
+def _nonrook_total(board: FerrersBoard, m: int, k: int) -> int:
+    # e_k - r_k, with e_k read off prod(x + h_i): each column takes one of
+    # its h_i rows (x^0) or stays empty (x^1)
+    n = board.n
+    if k > n:
+        return 0
+    return expand_roots(board.heights).coeffs[n - k] - rook_number(board, m, k)
 
 
 def _first_member(key: _Key, m: int) -> tuple[tuple[int, int], ...]:
@@ -408,20 +435,22 @@ def _credited(
     return {p for p in members if all(a[0] < b[0] for a, b in zip(p, p[1:]))}
 
 
-def _first_uncredited(
+def _first_unaccounted(
     heights: tuple[int, ...], m: int, k: int, checked: Collection[_Key]
 ) -> str | None:
-    # failure path: the first non-rook placement that no checked,
-    # well-defined class credited
+    """Failure path: the first placement whose class key disagrees with
+    ``is_m_level_rook_placement``, or the first non-rook placement its
+    class did not credit.  It runs only when no class check named a
+    witness, so every checked class is well defined.  None when every
+    walked placement is accounted for, which leaves the walk itself at
+    fault."""
     for cells in _walk(heights, k):
         key = _class_key(cells, m)
-        if key is None:
-            continue
-        members = list(_members(key, m))
-        if (
+        if (key is None) != is_m_level_rook_placement(_Walked(cells), m):
+            return _cells_string(cells)
+        if key is not None and (
             key not in checked
-            or any(_class_key(p, m) != key for p in members)
-            or cells not in _credited(key, members, heights, m)
+            or cells not in _credited(key, list(_members(key, m)), heights, m)
         ):
             return _cells_string(cells)
     return None

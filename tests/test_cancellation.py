@@ -18,7 +18,7 @@ from mlrook.cancellation import (
 )
 from mlrook.placements import FilePlacement, enumerate_file_placements
 from mlrook.rooktheory import weight
-from oracles import boards_up_to, brute_cover
+from oracles import boards_up_to, brute_cover, brute_file_cells, is_mlevel_cells
 
 # the worked four-member class: 7-column board, m = 2
 WIDE_BOARD = make_board((1, 3, 4, 4, 4, 4, 4))
@@ -443,19 +443,45 @@ class TestVerifyCover:
                         assert cls == public
                         assert all(type(cell) is Cell for cell in cls.fixed_cells)
 
-    def test_peak_memory_has_no_per_placement_sets(self):
+    def test_class_read_as_rook_placements_is_caught(self, monkeypatch):
+        # a class key that reads every placement of the classes fixing
+        # cell 1:1 as an m-level rook placement drops those classes from
+        # the walk's count and from the credited members alike; only the
+        # check against e_k - r_k sees them go
+        real_key = cancellation._class_key
+
+        def key_dropping_classes(cells, m):
+            key = real_key(cells, m)
+            return None if key is not None and (1, 1) in key[1] else key
+
+        monkeypatch.setattr(cancellation, "_class_key", key_dropping_classes)
+        report = verify_cover(make_board((2, 2)), 2, 2)
+        assert report.well_defined and report.class_sums_zero and report.total_zero
+        assert report.nonrook_count == 2
+        assert not report.disjoint_cover
+        assert report.witness == "1:1;2:1"
+
+    def test_nonrook_total_counts_placements(self):
+        for board in boards_up_to(4, 6):
+            for m in (1, 2, 3):
+                for k in range(board.n + 2):
+                    brute = sum(
+                        not is_mlevel_cells(cells, m) for cells in brute_file_cells(board, k)
+                    )
+                    assert cancellation._nonrook_total(board, m, k) == brute
+
+    def test_working_memory_has_no_per_placement_sets(self):
+        # the walk's own memory: the traced peak less what the returned
+        # report still holds (sets of placements per class key take 4.1 MB)
         board = make_board((1, 3, 4, 4, 4, 4, 4))
-        # a first call also stocks the interpreter's free lists, which
-        # tracemalloc would count once; measure the call after it
-        verify_cover(board, 2, 6)
         tracemalloc.start()
         try:
             report = verify_cover(board, 2, 6)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert report.ok
-        assert peak < 2 * 2**20, peak
+        assert peak - held < 2**20, peak - held
 
 
 PLACEMENT_BUDGET = 5000
