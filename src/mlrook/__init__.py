@@ -9,7 +9,6 @@ arithmetic; all values are immutable and all operations pure.
 
 from .boards import (
     AmbientSizeError,
-    Cell,
     FerrersBoard,
     InvalidBoardError,
     Zone,
@@ -29,13 +28,7 @@ from .cancellation import (
     reintroduction_sum,
     verify_cover,
 )
-from .ffpoly import (
-    FFPoly,
-    RootMultiset,
-    expand_roots,
-    m_falling_factorial,
-    to_basis,
-)
+from .ffpoly import FFPoly, RootMultiset, expand_roots
 from .placements import (
     FilePlacement,
     InvalidPlacementError,

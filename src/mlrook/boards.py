@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "AmbientSizeError",
-    "Cell",
     "FerrersBoard",
     "InvalidBoardError",
     "Zone",
@@ -43,13 +42,6 @@ class InvalidBoardError(ValueError):
 
 class AmbientSizeError(ValueError):
     """The board is too tall for the n levels of its ambient grid."""
-
-
-class Cell(NamedTuple):
-    """A single square, addressed by 1-indexed (column, row)."""
-
-    column: int
-    row: int
 
 
 def _check_m(m: int) -> None:

@@ -23,6 +23,9 @@ The construction needs every movable rook's column to meet l in all m
 cells, which the singleton condition guarantees; non-singleton boards
 are rejected loudly rather than mis-partitioned.
 
+Cells are plain ``(column, row)`` int tuples throughout, as the walker
+yields them; ``CancellationClass.fixed_cells`` holds them too.
+
 ``verify_cover`` checks the partition in one walk over the placements,
 keeping no set of them.  It counts the non-rook placements and sums
 their weights.  A class is checked when the walk reaches its first
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Collection, Iterator, NamedTuple
 
-from .boards import Cell, FerrersBoard, _check_m, _rows_of_level, is_singleton
+from .boards import FerrersBoard, _check_m, _rows_of_level, is_singleton
 from .ffpoly import expand_roots
 from .placements import (
     FilePlacement,
@@ -93,8 +96,7 @@ _Key = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
 
 class _Walked(NamedTuple):
     # a walked placement as ``weight`` and ``is_m_level_rook_placement``
-    # read it: its cells, left as the walker's plain tuples rather than
-    # converted to a FilePlacement's Cells
+    # read it, without building a FilePlacement per placement
     cells: tuple[tuple[int, int], ...]
 
 
@@ -147,14 +149,14 @@ class CancellationClass:
     board: FerrersBoard
     m: int
     level: int
-    fixed_cells: tuple[Cell, ...]
+    fixed_cells: tuple[tuple[int, int], ...]
     movable_columns: tuple[int, ...]
 
     def __post_init__(self) -> None:
         _check_m(self.m)
         if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
             raise ValueError(f"levels are 1-indexed integers, got {self.level!r}")
-        fixed = tuple(Cell(c, r) for c, r in self.fixed_cells)
+        fixed = tuple((c, r) for c, r in self.fixed_cells)
         movable = tuple(self.movable_columns)
         for x in chain(*fixed, movable):  # before sorting, which may compare them
             if isinstance(x, bool) or not isinstance(x, int):
@@ -164,24 +166,24 @@ class CancellationClass:
         object.__setattr__(self, "movable_columns", movable)
 
         level_rows = _rows_of_level(self.level, self.m)
-        anchor: Cell | None = None
+        anchor: int | None = None  # the column of the fixed rook inside the level
         seen_columns = set()
-        for cell in fixed:
-            if not self.board.contains(*cell):
-                raise ValueError(f"fixed cell {cell.column}:{cell.row} is off the board")
-            if cell.column in seen_columns:
-                raise ValueError(f"column {cell.column} is occupied twice")
-            seen_columns.add(cell.column)
-            if cell.row in level_rows:
+        for col, row in fixed:
+            if not self.board.contains(col, row):
+                raise ValueError(f"fixed cell {col}:{row} is off the board")
+            if col in seen_columns:
+                raise ValueError(f"column {col} is occupied twice")
+            seen_columns.add(col)
+            if row in level_rows:
                 if anchor is not None:
                     raise ValueError("more than one fixed rook inside the anchor level")
-                anchor = cell
+                anchor = col
         if anchor is None:
             raise ValueError("no fixed rook inside the anchor level")
         if not movable:
             raise ValueError("a cancellation class needs at least one movable rook")
 
-        prev = anchor.column
+        prev = anchor
         for col in movable:
             if col in seen_columns:
                 raise ValueError(f"movable column {col} collides with a fixed cell")
@@ -198,13 +200,14 @@ class CancellationClass:
 
     @classmethod
     def _trusted(cls, board: FerrersBoard, m: int, key: _Key) -> "CancellationClass":
-        # a key the verifier derived from a walked placement: sorted, valid
+        # a key ``_class_key`` derived from a valid placement on a singleton
+        # board: sorted, and passing every check of ``__post_init__``
         level, fixed, movable = key
         made = object.__new__(cls)
         object.__setattr__(made, "board", board)
         object.__setattr__(made, "m", m)
         object.__setattr__(made, "level", level)
-        object.__setattr__(made, "fixed_cells", tuple(map(Cell._make, fixed)))
+        object.__setattr__(made, "fixed_cells", fixed)
         object.__setattr__(made, "movable_columns", movable)
         return made
 
@@ -242,7 +245,13 @@ def canonical_class(placement: FilePlacement, m: int) -> CancellationClass:
         raise ValueError(
             "placement is an m-level rook placement; no level holds two rooks"
         )
-    return CancellationClass(board, m, *key)
+    # The key passes every check of the public constructor: its cells come
+    # from a valid placement, and the anchor is the level's leftmost rook.
+    # A movable column and the anchor's column both hold a rook in the
+    # level; if the movable column stopped inside the level, the anchor's
+    # column would too, and a singleton board lets only one column enter a
+    # level partially.  So every movable column meets the level in m rows.
+    return CancellationClass._trusted(board, m, key)
 
 
 def class_members(cls: CancellationClass) -> tuple[FilePlacement, ...]:

@@ -22,7 +22,7 @@ from .boards import (
     zones,
 )
 from .cancellation import CoverReport, verify_cover
-from .ffpoly import expand_roots, to_basis
+from .ffpoly import expand_roots
 from .placements import (
     enumerate_file_placements,
     enumerate_m_level_rook_placements,
@@ -172,7 +172,9 @@ def _cmd_poly(args: argparse.Namespace) -> int:
         poly = expand_roots(zone_roots(board, m))
     else:
         poly = expand_roots(level_roots(board, m))
-    _emit(to_basis(poly, m if args.basis == "mfalling" else None).to_json_dict())
+    if args.basis == "mfalling":
+        poly = poly.to_mfalling(m)
+    _emit(poly.to_json_dict())
     return 0
 
 

@@ -17,7 +17,6 @@ coefficient once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,22 +26,7 @@ __all__ = [
     "FFPoly",
     "RootMultiset",
     "expand_roots",
-    "m_falling_factorial",
-    "to_basis",
 ]
-
-
-def m_falling_factorial(value: int, k: int, m: int) -> int:
-    """The product ``value * (value - m) * ... * (value - (k-1)*m)``.
-
-    The empty product (k = 0) is 1.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"value {value!r} is not an integer")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"factor count k must be a non-negative integer, got {k!r}")
-    _check_m(m)
-    return math.prod(range(value, value - m * k, -m))
 
 
 def _mul_linear(coeffs: list[int], constant: int) -> list[int]:
@@ -161,11 +145,6 @@ class FFPoly:
             else:
                 parts.append(f"{c}*{var}^{k}")
         return " + ".join(parts)
-
-
-def to_basis(p: FFPoly, m: int | None) -> FFPoly:
-    """Convert ``p`` to the power basis (m=None) or the m-falling basis."""
-    return p.to_power() if m is None else p.to_mfalling(m)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ distinct levels (blocks of m rows) gives m-level rook placements, so
 the three kinds nest: m-level rook placements are rook placements are
 file placements.
 
+A cell is a plain ``(column, row)`` tuple of ints, 1-indexed, as the
+walker yields it and as ``FilePlacement.cells`` holds it.
+
 One iterative walker enumerates all of them.  It runs over columns
 with a skip branch per column, keeps one (column, row) per placed rook
 instead of recursing, so it has no depth limit, and yields placements
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boards import Cell, FerrersBoard, _check_m
+from .boards import FerrersBoard, _check_m
 
 __all__ = [
     "FilePlacement",
@@ -45,16 +48,17 @@ class InvalidPlacementError(ValueError):
 class FilePlacement:
     """Rooks on a Ferrers board, at most one per column.
 
-    Cells are kept sorted by column.  Equality and hashing look only at
-    the occupied cells, so placements with identical rooks on different
-    boards compare equal; the board is carried for validation.
+    Cells are ``(column, row)`` int tuples kept sorted by column.
+    Equality and hashing look only at the occupied cells, so placements
+    with identical rooks on different boards compare equal; the board is
+    carried for validation.
     """
 
     board: FerrersBoard
-    cells: tuple[Cell, ...]
+    cells: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(Cell(c, r) for c, r in self.cells)
+        cells = tuple((c, r) for c, r in self.cells)
         for col, row in cells:  # before sorting, which may compare them
             if any(isinstance(x, bool) or not isinstance(x, int) for x in (col, row)):
                 raise InvalidPlacementError(f"cell {col!r}:{row!r} is not a pair of integers")
@@ -70,10 +74,11 @@ class FilePlacement:
 
     @classmethod
     def _trusted(cls, board: FerrersBoard, cells: tuple) -> "FilePlacement":
-        # walker output: sorted by column, on the board, one rook per column
+        # cells the library derived: sorted by column, on the board, one
+        # rook per column
         placement = object.__new__(cls)
         object.__setattr__(placement, "board", board)
-        object.__setattr__(placement, "cells", tuple(map(Cell._make, cells)))
+        object.__setattr__(placement, "cells", cells)
         return placement
 
     def __eq__(self, other: object) -> bool:
@@ -103,10 +108,12 @@ class FilePlacement:
 
     def without_column(self, column: int) -> "FilePlacement":
         """New placement with the rook of ``column`` removed."""
-        kept = tuple(cell for cell in self.cells if cell.column != column)
+        if isinstance(column, bool) or not isinstance(column, int):
+            raise ValueError(f"column {column!r} is not an integer")
+        kept = tuple(cell for cell in self.cells if cell[0] != column)
         if len(kept) == len(self.cells):
             raise ValueError(f"column {column} holds no rook")
-        return FilePlacement(self.board, kept)
+        return FilePlacement._trusted(self.board, kept)  # a subset stays valid
 
     def to_string(self) -> str:
         """Text form ``"col:row;col:row"`` sorted by column; empty for no rooks."""
@@ -148,10 +155,12 @@ def _walk(
     and row and is advanced in place; when it runs out of columns the
     walk backs up to rook d - 1.  Nothing recurses.
     """
+    n = len(heights)
+    if k > n:  # before sizing the per-rook state by k
+        return
     if k == 0:
         yield ()
         return
-    n = len(heights)
     # cells[d] is rook d's current (column, row); row 0 means no row tried yet
     cells = [(1, 0)] * k
     used: set[int] = set()  # levels holding a rook (m-level walk only)

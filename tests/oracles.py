@@ -66,6 +66,12 @@ def brute_census(levels, m):
     ]
 
 
+def m_falling_factorial(value, k, m):
+    """The product ``value * (value - m) * ... * (value - (k-1)*m)``;
+    1 for k = 0."""
+    return math.prod(value - m * i for i in range(k))
+
+
 def brute_weight(cells, m):
     """Weight of a placement given as cell tuples, from the definition."""
     row_counts = {}

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mlrook.cancellation as cancellation
-from mlrook.boards import Cell, FerrersBoard, is_singleton, make_board
+from mlrook.boards import FerrersBoard, is_singleton, make_board
 from mlrook.cancellation import (
     CancellationClass,
     NonSingletonBoardError,
@@ -43,6 +43,12 @@ class TestNonRookStream:
     def test_two_column_board(self):
         placements = list(nonrook_file_placements(make_board((1, 2)), 2, 2))
         assert [p.to_string() for p in placements] == ["1:1;2:1", "1:1;2:2"]
+
+    def test_huge_k_empty(self):
+        board = make_board((2, 2))
+        assert list(nonrook_file_placements(board, 2, 2**62)) == []
+        report = verify_cover(board, 2, 2**62)
+        assert report.ok and report.nonrook_count == 0 and report.classes == ()
 
     def test_k_zero_and_one_empty(self):
         board = make_board((3, 3, 3))
@@ -88,14 +94,14 @@ class TestCanonicalClass:
         cls = canonical_class(F0, 2)
         assert cls.level == 1
         assert cls.movable_columns == (4, 6)
-        assert Cell(3, 2) in cls.fixed_cells
-        assert set(cls.fixed_cells) == {Cell(2, 3), Cell(3, 2), Cell(5, 4), Cell(7, 3)}
+        assert (3, 2) in cls.fixed_cells
+        assert set(cls.fixed_cells) == {(2, 3), (3, 2), (5, 4), (7, 3)}
         assert cls.size == 4
 
     def test_two_rook_conflict_single_movable(self):
         placement = FilePlacement(make_board((1, 2)), ((1, 1), (2, 2)))
         cls = canonical_class(placement, 2)
-        assert cls.fixed_cells == (Cell(1, 1),)
+        assert cls.fixed_cells == ((1, 1),)
         assert cls.movable_columns == (2,)
         assert cls.size == 2
 
@@ -114,7 +120,7 @@ class TestCanonicalClass:
                 board=board,
                 m=3,
                 level=1,
-                fixed_cells=(Cell(2, 1),),
+                fixed_cells=((2, 1),),
                 movable_columns=(3,),
             )
 
@@ -122,34 +128,34 @@ class TestCanonicalClass:
         board = make_board((4, 4, 4))
         with pytest.raises(ValueError):
             # no movable rooks
-            CancellationClass(board, 2, 1, (Cell(1, 1),), ())
+            CancellationClass(board, 2, 1, ((1, 1),), ())
         with pytest.raises(ValueError):
             # movable column left of the anchor
-            CancellationClass(board, 2, 1, (Cell(2, 1),), (1,))
+            CancellationClass(board, 2, 1, ((2, 1),), (1,))
         with pytest.raises(ValueError):
             # movable column collides with a fixed cell
-            CancellationClass(board, 2, 1, (Cell(1, 1), Cell(2, 3)), (2,))
+            CancellationClass(board, 2, 1, ((1, 1), (2, 3)), (2,))
         with pytest.raises(ValueError):
             # two fixed rooks inside the anchor level
-            CancellationClass(board, 2, 1, (Cell(1, 1), Cell(2, 2)), (3,))
+            CancellationClass(board, 2, 1, ((1, 1), (2, 2)), (3,))
         with pytest.raises(ValueError):
             # no fixed rook inside the anchor level
-            CancellationClass(board, 2, 1, (Cell(1, 3),), (2,))
+            CancellationClass(board, 2, 1, ((1, 3),), (2,))
 
     def test_bool_level_rejected(self):
         board = make_board((4, 4, 4))
         with pytest.raises(ValueError, match="levels are 1-indexed"):
-            CancellationClass(board, 2, True, (Cell(1, 1),), (2,))
+            CancellationClass(board, 2, True, ((1, 1),), (2,))
 
     @pytest.mark.parametrize(
         "fixed, movable",
         [
-            ((Cell(True, 1),), (2,)),
-            ((Cell(1, True),), (2,)),
-            ((Cell(1, 1.0),), (2,)),
-            ((Cell(1, 1),), (True,)),
-            ((Cell(1, 1),), (2.0,)),
-            ((Cell(1, 1),), (2, "3")),
+            (((True, 1),), (2,)),
+            (((1, True),), (2,)),
+            (((1, 1.0),), (2,)),
+            (((1, 1),), (True,)),
+            (((1, 1),), (2.0,)),
+            (((1, 1),), (2, "3")),
         ],
     )
     def test_non_integer_cell_or_column_rejected(self, fixed, movable):
@@ -433,15 +439,36 @@ class TestVerifyCover:
         assert report.witness is not None
 
     def test_classes_equal_public_construction(self):
+        # the trusted builder behind verify_cover and canonical_class
+        # stores what the validating constructor accepts and stores
         for m in (2, 3):
             for board in singleton_boards(4, 2 * m, m):
                 for k in range(board.n + 1):
-                    for cls in verify_cover(board, m, k).classes:
+                    classes = list(verify_cover(board, m, k).classes)
+                    classes += [
+                        canonical_class(p, m) for p in nonrook_file_placements(board, m, k)
+                    ]
+                    for cls in classes:
                         public = CancellationClass(
                             board, m, cls.level, cls.fixed_cells, cls.movable_columns
                         )
                         assert cls == public
-                        assert all(type(cell) is Cell for cell in cls.fixed_cells)
+                        assert all(type(cell) is tuple for cell in cls.fixed_cells)
+
+    def test_derived_values_skip_the_validators(self, monkeypatch):
+        # values derived from valid ones are built without re-validation
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} validated again")
+
+        monkeypatch.setattr(FilePlacement, "__post_init__", refuse)
+        monkeypatch.setattr(CancellationClass, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            FilePlacement(WIDE_BOARD, ())
+        assert len(list(enumerate_file_placements(WIDE_BOARD, 6))) == 7936
+        assert F0.without_column(4).to_string() == "2:3;3:2;5:4;6:1;7:3"
+        cls = canonical_class(F0, 2)
+        assert len(class_members(cls)) == 4
+        assert verify_cover(WIDE_BOARD, 2, 6).ok
 
     def test_class_read_as_rook_placements_is_caught(self, monkeypatch):
         # a class key that reads every placement of the classes fixing

@@ -71,6 +71,14 @@ class TestEnumerate:
         assert data["count"] == 1200
         assert data["placements"] == ["1:1"]
 
+    def test_huge_k_counts_zero(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--board", "1,2", "--m", "2", "--k", str(2**62),
+            "--kind", "file",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 0
+
     def test_negative_limit_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -276,6 +284,15 @@ class TestPartition:
         assert summary["class_sums_zero"] is False
         assert summary["ok"] is False
         assert summary["witness"] == "1:1;2:1"
+
+    def test_huge_k_has_no_classes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "partition", "--board", "1,2", "--m", "2", "--k", str(2**62)
+        )
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        assert summary["nonrook_placements"] == 0
+        assert summary["ok"] is True
 
     def test_non_singleton_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "partition", "--board", "1,2,2,3", "--m", "3")

@@ -5,57 +5,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlrook.ffpoly import (
-    FFPoly,
-    RootMultiset,
-    expand_roots,
-    m_falling_factorial,
-    to_basis,
-)
+from mlrook.ffpoly import FFPoly, RootMultiset, expand_roots
+from oracles import m_falling_factorial
+
+
+def ff(value, k, m):
+    # the m-falling basis polynomial ff(x, k, m), evaluated at value
+    return FFPoly.mfalling((0,) * k + (1,), m).eval(value)
 
 
 class TestMFallingFactorial:
     def test_one_minus_m(self):
-        assert m_falling_factorial(1, 2, 2) == -1
-        assert m_falling_factorial(1, 2, 5) == -4
+        assert ff(1, 2, 2) == -1
+        assert ff(1, 2, 5) == -4
 
     def test_three_factor_value(self):
         # 1 * (1-2) * (1-4)
-        assert m_falling_factorial(1, 3, 2) == 3
+        assert ff(1, 3, 2) == 3
 
     def test_empty_product(self):
         for v in (-7, 0, 1, 12):
-            assert m_falling_factorial(v, 0, 3) == 1
+            assert ff(v, 0, 3) == 1
 
     def test_classical_falling_factorial_at_m1(self):
         for v in range(9):
             for k in range(9):
                 expected = math.prod(v - i for i in range(k))
-                assert m_falling_factorial(v, k, 1) == expected
+                assert ff(v, k, 1) == expected
 
     def test_matches_definition(self):
         for m in (1, 2, 3, 4):
             for v in range(-6, 7):
                 for k in range(7):
                     expected = math.prod(v - m * i for i in range(k))
-                    assert m_falling_factorial(v, k, m) == expected
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            m_falling_factorial(3, -1, 2)
-
-    def test_bool_k_rejected(self):
-        with pytest.raises(ValueError):
-            m_falling_factorial(5, True, 2)
+                    assert ff(v, k, m) == expected
 
     def test_bad_m_rejected(self):
         with pytest.raises(ValueError):
-            m_falling_factorial(3, 1, 0)
+            FFPoly.mfalling((0, 1), 0)
 
     @pytest.mark.parametrize("value", [1.5, True, "1"])
     def test_non_integer_value_rejected(self, value):
         with pytest.raises(ValueError, match="not an integer"):
-            m_falling_factorial(value, 2, 1)
+            ff(value, 2, 1)
 
 
 class TestExpandRoots:
@@ -112,9 +104,9 @@ class TestLargeExpansion:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_round_trip(self, m):
         p = expand_roots(BIG_ROOTS)
-        q = to_basis(p, m)
+        q = p.to_mfalling(m)
         assert q.m == m and len(q.coeffs) == 401
-        assert to_basis(q, None) == p
+        assert q.to_power() == p
 
 
 class TestFFPolyBasics:
@@ -174,12 +166,12 @@ class TestBasisConversion:
             assert FFPoly.mfalling((), m).to_power() == FFPoly.power(())
 
     def test_zero_polynomial(self):
-        assert to_basis(FFPoly.power(()), 3).coeffs == ()
-        assert to_basis(FFPoly.mfalling((), 3), None).coeffs == ()
+        assert FFPoly.power(()).to_mfalling(3).coeffs == ()
+        assert FFPoly.mfalling((), 3).to_power().coeffs == ()
 
     def test_round_trip_small(self):
         p = FFPoly.power((1, 2, 3))
-        assert to_basis(to_basis(p, 3), None) == p
+        assert p.to_mfalling(3).to_power() == p
 
     def test_same_tag_is_identity(self):
         p = FFPoly.mfalling((5, 1), 2)
@@ -194,7 +186,7 @@ class TestBasisConversion:
     @settings(max_examples=200)
     def test_round_trip_exact(self, coeffs, m):
         p = FFPoly.power(coeffs)
-        assert to_basis(to_basis(p, m), None) == p
+        assert p.to_mfalling(m).to_power() == p
 
     @given(
         st.lists(st.integers(-50, 50), max_size=9),
@@ -204,7 +196,7 @@ class TestBasisConversion:
     @settings(max_examples=200)
     def test_eval_agrees_across_bases(self, coeffs, m, x):
         p = FFPoly.power(coeffs)
-        assert p.eval(x) == to_basis(p, m).eval(x)
+        assert p.eval(x) == p.to_mfalling(m).eval(x)
 
     @given(
         st.lists(st.integers(-50, 50), max_size=9),

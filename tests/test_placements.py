@@ -30,7 +30,7 @@ class TestFilePlacementValue:
 
     def test_cells_sorted_by_column(self):
         p = FilePlacement(SQ4, ((3, 1), (1, 2)))
-        assert [c.column for c in p.cells] == [1, 3]
+        assert p.cells == ((1, 2), (3, 1))
 
     def test_equality_ignores_board(self):
         a = FilePlacement(make_board((2, 2)), ((1, 1),))
@@ -57,6 +57,13 @@ class TestFilePlacementValue:
         with pytest.raises(ValueError):
             p.without_column(2)
 
+    @pytest.mark.parametrize("column", [True, 1.0, "1"])
+    def test_without_non_integer_column_rejected(self, column):
+        # True == 1 == 1.0, so a loose check would drop column 1's rook
+        p = FilePlacement(make_board((1, 2)), ((1, 1), (2, 2)))
+        with pytest.raises(ValueError, match="not an integer"):
+            p.without_column(column)
+
     def test_string_round_trip(self):
         board = make_board((2, 2, 4, 4, 4, 4))
         p = FilePlacement(board, FIG_FILE)
@@ -77,6 +84,12 @@ class TestEnumerateFile:
 
     def test_k_beyond_columns_empty_stream(self):
         assert list(enumerate_file_placements(make_board((1, 2)), 3)) == []
+
+    def test_huge_k_allocates_nothing(self):
+        # a walk sized by k before checking it against n needs 2**65 bytes
+        board = make_board((1, 2))
+        assert list(enumerate_file_placements(board, 2**62)) == []
+        assert list(enumerate_m_level_rook_placements(board, 2, 2**62)) == []
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import mlrook
 EXPORTS = {
     "AmbientSizeError",
     "CancellationClass",
-    "Cell",
     "CoverReport",
     "FFPoly",
     "FactorizationReport",
@@ -30,7 +29,6 @@ EXPORTS = {
     "is_singleton",
     "level_numbers",
     "level_roots",
-    "m_falling_factorial",
     "m_level_equivalent",
     "m_level_rook_poly",
     "make_board",
@@ -39,7 +37,6 @@ EXPORTS = {
     "reintroduction_sum",
     "rook_number",
     "rook_numbers",
-    "to_basis",
     "verify_cover",
     "verify_factorizations",
     "weight",
