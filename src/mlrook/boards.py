@@ -50,6 +50,11 @@ def _check_m(m: int) -> None:
         raise ValueError(f"block size m must be a positive integer, got {m!r}")
 
 
+def _check_int(name: str, value: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} {value!r} is not an integer")
+
+
 def _m_floor(value: int, m: int) -> int:
     # largest multiple of m that is at most the non-negative value
     return value - value % m
@@ -96,12 +101,15 @@ class FerrersBoard:
 
     def column_height(self, column: int) -> int:
         """Height of the 1-indexed ``column``."""
+        _check_int("column", column)
         if not 1 <= column <= self.n:
             raise ValueError(f"column {column} out of range 1..{self.n}")
         return self.heights[column - 1]
 
     def contains(self, column: int, row: int) -> bool:
         """True iff the cell at (column, row) lies on the board."""
+        _check_int("column", column)
+        _check_int("row", row)
         return 1 <= column <= self.n and 1 <= row <= self.heights[column - 1]
 
     def __str__(self) -> str:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Collection, Iterator, NamedTuple
 
-from .boards import FerrersBoard, _check_m, _rows_of_level, is_singleton
+from .boards import FerrersBoard, _check_int, _check_m, _rows_of_level, is_singleton
 from .ffpoly import expand_roots
 from .placements import (
     FilePlacement,
@@ -153,6 +153,8 @@ class CancellationClass:
     movable_columns: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.board, FerrersBoard):
+            raise ValueError(f"board {self.board!r} is not a FerrersBoard")
         _check_m(self.m)
         if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
             raise ValueError(f"levels are 1-indexed integers, got {self.level!r}")
@@ -281,8 +283,7 @@ def reintroduction_sum(
     _check_m(m)
     if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise ValueError(f"levels are 1-indexed integers, got {level!r}")
-    if isinstance(column, bool) or not isinstance(column, int):
-        raise ValueError(f"column {column!r} is not an integer")
+    _check_int("column", column)
     if column in placement.occupied:
         raise ValueError(f"column {column} is already occupied")
     if placement.board.column_height(column) < m * level:

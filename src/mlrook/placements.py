@@ -8,12 +8,17 @@ file placements.
 
 A cell is a plain ``(column, row)`` tuple of ints, 1-indexed, as the
 walker yields it and as ``FilePlacement.cells`` holds it.
+``FilePlacement`` is a frozen record with slots; the placements the
+library derives itself are stored through the slot descriptors,
+without re-validation.
 
-One iterative walker enumerates all of them.  It runs over columns
-with a skip branch per column, keeps one (column, row) per placed rook
-instead of recursing, so it has no depth limit, and yields placements
-in ascending lexicographic order of their sorted (column, row) cells.
-Streams are generated lazily.
+One iterative walker enumerates all of them, in ascending lexicographic
+order of their sorted (column, row) cells.  All rooks but the last form
+an odometer that keeps one (column, row) per rook instead of recursing,
+so it has no depth limit.  The last rook sweeps the free cells to their
+right in one inner loop; each column's one-cell tuples are memoised the
+first time the sweep passes over the whole column, so later prefixes
+reuse them.  Streams are generated lazily.
 
 The m-level rook numbers and the weighted file numbers are one
 block-weight sum over all file placements (see ``_block_sums``).  It is
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boards import FerrersBoard, _check_m
+from .boards import FerrersBoard, _check_int, _check_m
 
 __all__ = [
     "FilePlacement",
@@ -44,26 +49,28 @@ class InvalidPlacementError(ValueError):
     """A placement repeats a column or leaves the board."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FilePlacement:
     """Rooks on a Ferrers board, at most one per column.
 
     Cells are ``(column, row)`` int tuples kept sorted by column.
     Equality and hashing look only at the occupied cells, so placements
     with identical rooks on different boards compare equal; the board is
-    carried for validation.
+    carried for validation.  The record has slots and no ``__dict__``.
     """
 
     board: FerrersBoard
     cells: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.board, FerrersBoard):
+            raise ValueError(f"board {self.board!r} is not a FerrersBoard")
         cells = tuple((c, r) for c, r in self.cells)
         for col, row in cells:  # before sorting, which may compare them
             if any(isinstance(x, bool) or not isinstance(x, int) for x in (col, row)):
                 raise InvalidPlacementError(f"cell {col!r}:{row!r} is not a pair of integers")
         cells = tuple(sorted(cells))
-        object.__setattr__(self, "cells", cells)
+        _set_cells(self, cells)
         prev_col = 0
         for col, row in cells:
             if col == prev_col:
@@ -76,9 +83,9 @@ class FilePlacement:
     def _trusted(cls, board: FerrersBoard, cells: tuple) -> "FilePlacement":
         # cells the library derived: sorted by column, on the board, one
         # rook per column
-        placement = object.__new__(cls)
-        object.__setattr__(placement, "board", board)
-        object.__setattr__(placement, "cells", cells)
+        placement = _new(cls)
+        _set_board(placement, board)
+        _set_cells(placement, cells)
         return placement
 
     def __eq__(self, other: object) -> bool:
@@ -108,8 +115,7 @@ class FilePlacement:
 
     def without_column(self, column: int) -> "FilePlacement":
         """New placement with the rook of ``column`` removed."""
-        if isinstance(column, bool) or not isinstance(column, int):
-            raise ValueError(f"column {column!r} is not an integer")
+        _check_int("column", column)
         kept = tuple(cell for cell in self.cells if cell[0] != column)
         if len(kept) == len(self.cells):
             raise ValueError(f"column {column} holds no rook")
@@ -121,6 +127,12 @@ class FilePlacement:
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+# The slot descriptors store a field without the frozen ``__setattr__``.
+_new = object.__new__
+_set_board = FilePlacement.board.__set__
+_set_cells = FilePlacement.cells.__set__
 
 
 def _cells_string(cells: tuple[tuple[int, int], ...]) -> str:
@@ -151,9 +163,17 @@ def _walk(
     ``(column, row)`` tuples in canonical order.
 
     ``m=None`` walks file placements; an integer m also allows at most
-    one rook per level.  Rook d of the placement keeps its own column
-    and row and is advanced in place; when it runs out of columns the
-    walk backs up to rook d - 1.  Nothing recurses.
+    one rook per level.  Rooks 0..k-2 form an odometer: rook d keeps its
+    own column and row and is advanced in place, and when it runs out of
+    columns the walk backs up to rook d - 1.  Nothing recurses.  Once
+    they are placed, the last rook sweeps every free cell to their right
+    in one inner loop, yielding the prefix plus that cell; the m-level
+    walk skips the cells whose level is used.  Each column's
+    ``((column, row),)`` one-tuples and their levels are memoised once
+    the sweep has passed over the whole column, built as it yields and
+    never ahead, so the memo holds only cells the walk has already
+    visited and ``next()`` returns at once even on a very tall column.
+    k = 1 sweeps every cell once and keeps no memo.
     """
     n = len(heights)
     if k > n:  # before sizing the per-rook state by k
@@ -161,8 +181,15 @@ def _walk(
     if k == 0:
         yield ()
         return
+    if k == 1:  # a single rook never shares a level, and no column repeats
+        for col, height in enumerate(heights, start=1):
+            for row in range(1, height + 1):
+                yield ((col, row),)
+        return
+    ones: list = [None] * (n + 1)  # ones[c]: column c's memoised one-tuples
+    levels: list = [None] * (n + 1)  # levels[c]: their levels (m-level walk)
     # cells[d] is rook d's current (column, row); row 0 means no row tried yet
-    cells = [(1, 0)] * k
+    cells = [(1, 0)] * (k - 1)
     used: set[int] = set()  # levels holding a rook (m-level walk only)
     d = 0
     while d >= 0:
@@ -186,11 +213,30 @@ def _walk(
         cells[d] = (col, row)
         if m is not None:
             used.add((row + m - 1) // m)
-        if d + 1 == k:
-            yield tuple(cells)
-        else:
+        if d + 2 < k:
             d += 1
             cells[d] = (col + 1, 0)
+            continue
+        prefix = tuple(cells)
+        for c in range(col + 1, n + 1):
+            memo = ones[c]
+            if memo is None:
+                swept = []
+                for r in range(1, heights[c - 1] + 1):
+                    one = ((c, r),)
+                    swept.append(one)
+                    if m is None or (r + m - 1) // m not in used:
+                        yield prefix + one
+                ones[c] = swept
+                if m is not None:
+                    levels[c] = tuple((r + m - 1) // m for r in range(1, len(swept) + 1))
+            elif m is None:
+                for one in memo:
+                    yield prefix + one
+            else:
+                for one, level in zip(memo, levels[c]):
+                    if level not in used:
+                        yield prefix + one
 
 
 def enumerate_file_placements(board: FerrersBoard, k: int) -> Iterator[FilePlacement]:

@@ -140,13 +140,14 @@ def _basis_sum_poly(values: Iterable[int], m: int) -> FFPoly:
 
 def m_level_rook_poly(board: FerrersBoard, m: int) -> FFPoly:
     """The polynomial ``sum_k r_k * ff(x, n-k, m)`` in the power basis,
-    with the rook numbers obtained by enumeration."""
+    with the rook numbers from the block-weight sum ``_block_sums``."""
     return _basis_sum_poly(rook_numbers(board, m), m)
 
 
 def weighted_file_poly(board: FerrersBoard, m: int) -> FFPoly:
     """The polynomial ``sum_k f_k * ff(x, n-k, m)`` in the power basis,
-    with the weighted file numbers obtained by enumeration."""
+    with the weighted file numbers from the block-weight sum
+    ``_block_sums``."""
     return _basis_sum_poly(weighted_file_numbers(board, m), m)
 
 
@@ -199,13 +200,19 @@ class FactorizationReport:
 def verify_factorizations(
     board: FerrersBoard, m: int, checks: Collection[str] | None = None
 ) -> FactorizationReport:
-    """Compare the expanded product forms against the enumerated polynomials.
+    """Compare the expanded product forms against the polynomials built
+    from the block-weight sum ``_block_sums``, which reads only the
+    column heights and none of the product forms.
 
     ``checks`` limits which identities run (names from ``CHECK_NAMES``);
     by default all applicable ones run.  Comparisons are coefficient-wise
     on fully expanded power-basis polynomials.
     """
     _check_m(m)
+    if isinstance(checks, str):  # a str is a collection of one-letter names
+        raise ValueError(
+            f"checks takes a collection of names, for example ({checks!r},), not a str"
+        )
     requested = frozenset(checks) if checks is not None else frozenset(CHECK_NAMES)
     unknown = requested.difference(CHECK_NAMES)
     if unknown:

@@ -53,6 +53,20 @@ class TestMakeBoard:
         assert not board.contains(3, 1)
         assert not board.contains(1, 0)
 
+    @pytest.mark.parametrize("column", [True, False, 1.5, 1.0, "1"])
+    def test_non_integer_column_rejected(self, column):
+        # True == 1 and 1.0 == 1, so a loose check reads them as column 1
+        board = make_board((1, 3))
+        with pytest.raises(ValueError, match="not an integer"):
+            board.column_height(column)
+        with pytest.raises(ValueError, match="not an integer"):
+            board.contains(column, 1)
+
+    @pytest.mark.parametrize("row", [True, 1.0, "1"])
+    def test_non_integer_row_rejected(self, row):
+        with pytest.raises(ValueError, match="not an integer"):
+            make_board((1, 3)).contains(1, row)
+
 
 class TestBoardString:
     def test_round_trip(self):

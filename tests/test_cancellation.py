@@ -142,6 +142,10 @@ class TestCanonicalClass:
             # no fixed rook inside the anchor level
             CancellationClass(board, 2, 1, ((1, 3),), (2,))
 
+    def test_board_must_be_a_ferrers_board(self):
+        with pytest.raises(ValueError, match="not a FerrersBoard"):
+            CancellationClass((4, 4, 4), 2, 1, ((1, 1),), (2,))
+
     def test_bool_level_rejected(self):
         board = make_board((4, 4, 4))
         with pytest.raises(ValueError, match="levels are 1-indexed"):

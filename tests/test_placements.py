@@ -1,3 +1,9 @@
+import copy
+import dataclasses
+import pickle
+import tracemalloc
+from itertools import islice
+
 import pytest
 
 from mlrook.boards import FerrersBoard, make_board
@@ -10,7 +16,13 @@ from mlrook.placements import (
     rook_number,
     rook_numbers,
 )
-from oracles import boards_up_to, brute_rook_count, file_count_formula
+from oracles import (
+    boards_up_to,
+    brute_file_cells,
+    brute_rook_count,
+    file_count_formula,
+    is_mlevel_cells,
+)
 
 SQ4 = make_board((4, 4, 4, 4))
 
@@ -69,6 +81,27 @@ class TestFilePlacementValue:
         p = FilePlacement(board, FIG_FILE)
         assert p.to_string() == "1:2;3:4;4:2;5:4;6:4"
         assert FilePlacement(board, ()).to_string() == ""
+
+    @pytest.mark.parametrize("cells", [((1, 1),), ()])
+    def test_board_must_be_a_ferrers_board(self, cells):
+        # with no cells nothing would read the board until much later
+        with pytest.raises(ValueError, match="not a FerrersBoard"):
+            FilePlacement((1, 2, 3), cells)
+
+    def test_slotted_frozen_record(self):
+        p = FilePlacement(make_board((1, 2)), ((2, 2), (1, 1)))
+        assert not hasattr(p, "__dict__")
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert q == p and q is not p
+            assert q.board == p.board and q.cells == ((1, 1), (2, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.cells = ()
+        assert repr(p) == (
+            "FilePlacement(board=FerrersBoard(heights=(1, 2)), cells=((1, 1), (2, 2)))"
+        )
+        assert dataclasses.replace(p, cells=((2, 1),)).cells == ((2, 1),)
+        with pytest.raises(InvalidPlacementError, match="1:2"):
+            dataclasses.replace(p, cells=((1, 2),))
 
 
 class TestEnumerateFile:
@@ -147,6 +180,50 @@ class TestEnumerateMLevel:
     def test_yields_only_valid(self):
         for p in enumerate_m_level_rook_placements(make_board((2, 3, 5)), 2, 2):
             assert is_m_level_rook_placement(p, 2)
+
+
+class TestWalkSequence:
+    # the exact stream, order and multiplicity included, against the
+    # oracle's placements sorted lexicographically
+    def test_file_walk_is_sorted_oracle(self):
+        for board in boards_up_to(4, 6):
+            for k in range(board.n + 2):
+                walked = [p.cells for p in enumerate_file_placements(board, k)]
+                assert walked == sorted(brute_file_cells(board, k)), (board, k)
+
+    def test_mlevel_walk_is_filtered_sorted_oracle(self):
+        for board in boards_up_to(4, 6):
+            for k in range(board.n + 2):
+                expected = sorted(brute_file_cells(board, k))
+                for m in (1, 2, 3):
+                    walked = [
+                        p.cells for p in enumerate_m_level_rook_placements(board, m, k)
+                    ]
+                    assert walked == [c for c in expected if is_mlevel_cells(c, m)], (
+                        board, m, k,
+                    )
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            lambda board: enumerate_file_placements(board, 1),
+            lambda board: enumerate_file_placements(board, 2),
+            lambda board: enumerate_m_level_rook_placements(board, 3, 2),
+        ],
+    )
+    def test_tall_columns_are_swept_lazily(self, stream):
+        # a sweep that built a column's cells ahead of yielding them would
+        # need gigabytes here
+        board = make_board((10**9, 10**9))
+        tracemalloc.start()
+        try:
+            first = next(stream(board))
+            three = list(islice(stream(board), 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == three[0] and len(three) == 3
+        assert peak < 64 * 1024, peak
 
 
 class TestNoDepthLimit:

@@ -236,6 +236,11 @@ class TestVerifyFactorizations:
         with pytest.raises(ValueError):
             verify_factorizations(make_board((1, 2)), 2, checks=("nope",))
 
+    def test_bare_string_checks_rejected(self):
+        # a str is iterable, so "br" would read as the names "b" and "r"
+        with pytest.raises(ValueError, match=r"collection of names, for example \('br',\)"):
+            verify_factorizations(make_board((1, 2)), 2, checks="br")
+
     def test_json_shape(self):
         d = verify_factorizations(make_board((1, 2)), 2).to_json_dict()
         assert set(d) == {"board", "m", "checks", "details"}
