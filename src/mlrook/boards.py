@@ -130,18 +130,20 @@ def parse_board(text: str) -> FerrersBoard:
 
     The empty string denotes the empty board.
     """
-    text = text.strip()
-    if not text:
-        return FerrersBoard(())
-    heights = []
-    for pos, token in enumerate(text.split(","), start=1):
+    return FerrersBoard(_parse_ints(text, "board", InvalidBoardError))
+
+
+def _parse_ints(text: str, what: str, error: type[ValueError]) -> tuple[int, ...]:
+    # comma-separated integers, none for a blank text; ``error`` names a bad token
+    values = []
+    for pos, token in enumerate(text.split(",") if text.strip() else (), start=1):
         try:
-            heights.append(int(token.strip()))
+            values.append(int(token))
         except ValueError:
-            raise InvalidBoardError(
-                f"bad board string: token {token.strip()!r} at position {pos} is not an integer"
+            raise error(
+                f"bad {what} string: token {token.strip()!r} at position {pos} is not an integer"
             ) from None
-    return FerrersBoard(tuple(heights))
+    return tuple(values)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ from .placements import (
     FilePlacement,
     _cells_string,
     _check_k,
+    _pairs,
     _walk,
     is_m_level_rook_placement,
     rook_number,
@@ -95,8 +96,7 @@ _Key = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
 class _Walked(NamedTuple):
-    # a walked placement as ``weight`` and ``is_m_level_rook_placement``
-    # read it, without building a FilePlacement per placement
+    # a walked placement as ``weight`` reads it, without a FilePlacement
     cells: tuple[tuple[int, int], ...]
 
 
@@ -144,6 +144,9 @@ class CancellationClass:
     rook inside it; ``movable_columns`` are the columns of the other
     rooks of the level, each of which must meet the level in all m of
     its rows.  The class contains ``m ** len(movable_columns)`` members.
+    A class is the canonical class of its first member, the one with
+    every movable rook on the level's bottom row, and the constructor
+    accepts exactly such triples.
     """
 
     board: FerrersBoard
@@ -158,47 +161,23 @@ class CancellationClass:
         _check_m(self.m)
         if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
             raise ValueError(f"levels are 1-indexed integers, got {self.level!r}")
-        fixed = tuple((c, r) for c, r in self.fixed_cells)
+        fixed = _pairs(self.fixed_cells)
         movable = tuple(self.movable_columns)
         for x in chain(*fixed, movable):  # before sorting, which may compare them
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError(f"cell coordinate or movable column {x!r} is not an integer")
+            _check_int("cell coordinate or movable column", x)
         fixed, movable = tuple(sorted(fixed)), tuple(sorted(movable))
         object.__setattr__(self, "fixed_cells", fixed)
         object.__setattr__(self, "movable_columns", movable)
-
-        level_rows = _rows_of_level(self.level, self.m)
-        anchor: int | None = None  # the column of the fixed rook inside the level
-        seen_columns = set()
-        for col, row in fixed:
-            if not self.board.contains(col, row):
-                raise ValueError(f"fixed cell {col}:{row} is off the board")
-            if col in seen_columns:
-                raise ValueError(f"column {col} is occupied twice")
-            seen_columns.add(col)
-            if row in level_rows:
-                if anchor is not None:
-                    raise ValueError("more than one fixed rook inside the anchor level")
-                anchor = col
-        if anchor is None:
-            raise ValueError("no fixed rook inside the anchor level")
-        if not movable:
-            raise ValueError("a cancellation class needs at least one movable rook")
-
-        prev = anchor
         for col in movable:
-            if col in seen_columns:
-                raise ValueError(f"movable column {col} collides with a fixed cell")
-            if col <= prev:
-                raise ValueError(
-                    f"movable column {col} does not sit right of the anchor column"
-                )
-            prev = col
             if self.board.column_height(col) < self.m * self.level:
                 raise NonSingletonBoardError(
                     f"column {col} meets level {self.level} in fewer than {self.m} cells;"
                     " the class sweep would leave the board"
                 )
+        key = (self.level, fixed, movable)
+        first = FilePlacement(self.board, _first_member(key, self.m))
+        if _class_key(first.cells, self.m) != key:
+            raise ValueError(f"not the canonical class of its first member {first}")
 
     @classmethod
     def _trusted(cls, board: FerrersBoard, m: int, key: _Key) -> "CancellationClass":
@@ -239,20 +218,14 @@ def canonical_class(placement: FilePlacement, m: int) -> CancellationClass:
     """
     board = placement.board
     if not is_singleton(board, m):
-        raise NonSingletonBoardError(
-            f"board {board} is not a singleton board for m={m}"
-        )
+        raise NonSingletonBoardError(f"board {board} is not a singleton board for m={m}")
     key = _class_key(placement.cells, m)
     if key is None:
-        raise ValueError(
-            "placement is an m-level rook placement; no level holds two rooks"
-        )
-    # The key passes every check of the public constructor: its cells come
-    # from a valid placement, and the anchor is the level's leftmost rook.
-    # A movable column and the anchor's column both hold a rook in the
-    # level; if the movable column stopped inside the level, the anchor's
-    # column would too, and a singleton board lets only one column enter a
-    # level partially.  So every movable column meets the level in m rows.
+        raise ValueError("placement is an m-level rook placement; no level holds two rooks")
+    # The key is the canonical class of the placement and of its first
+    # member.  Each movable column meets the level in m rows: the anchor's
+    # column, left of it and holding a rook in the level, would otherwise
+    # enter the level partially too, and a singleton board allows one.
     return CancellationClass._trusted(board, m, key)
 
 
@@ -365,9 +338,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     _check_m(m)
     _check_k(k)
     if not is_singleton(board, m):
-        raise NonSingletonBoardError(
-            f"board {board} is not a singleton board for m={m}"
-        )
+        raise NonSingletonBoardError(f"board {board} is not a singleton board for m={m}")
 
     heights = board.heights
     sums: dict[_Key, int] = {}
@@ -398,7 +369,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
 
     disjoint_cover = credited == count == _nonrook_total(board, m, k)
     if not disjoint_cover and witness is None:
-        witness = _first_unaccounted(heights, m, k, sums)
+        witness = _first_unaccounted(board, m, k, sums)
 
     keys = sorted(sums)
     return CoverReport(
@@ -446,7 +417,7 @@ def _credited(
 
 
 def _first_unaccounted(
-    heights: tuple[int, ...], m: int, k: int, checked: Collection[_Key]
+    board: FerrersBoard, m: int, k: int, checked: Collection[_Key]
 ) -> str | None:
     """Failure path: the first placement whose class key disagrees with
     ``is_m_level_rook_placement``, or the first non-rook placement its
@@ -454,13 +425,13 @@ def _first_unaccounted(
     witness, so every checked class is well defined.  None when every
     walked placement is accounted for, which leaves the walk itself at
     fault."""
-    for cells in _walk(heights, k):
+    for cells in _walk(board.heights, k):
         key = _class_key(cells, m)
-        if (key is None) != is_m_level_rook_placement(_Walked(cells), m):
+        if (key is None) != is_m_level_rook_placement(FilePlacement._trusted(board, cells), m):
             return _cells_string(cells)
         if key is not None and (
             key not in checked
-            or cells not in _credited(key, list(_members(key, m)), heights, m)
+            or cells not in _credited(key, list(_members(key, m)), board.heights, m)
         ):
             return _cells_string(cells)
     return None

@@ -16,6 +16,7 @@ import sys
 
 from .boards import (
     AmbientSizeError,
+    _parse_ints,
     is_singleton,
     level_numbers,
     parse_board,
@@ -67,22 +68,6 @@ def _parse_k(value: str) -> int:
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     return k
-
-
-def _parse_levels(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for pos, token in enumerate(text.split(","), start=1):
-        try:
-            value = int(token.strip())
-        except ValueError:
-            raise ValueError(
-                f"bad levels string: token {token.strip()!r} at position {pos}"
-            ) from None
-        out.append(value)
-    return tuple(out)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -234,7 +219,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    levels = _parse_levels(args.levels)
+    levels = _parse_ints(args.levels, "levels", ValueError)
     m = _parse_m(args.m)
     boards = census_level_numbers(levels, m)
     out = {"levels": list(levels), "m": m, "count": len(boards)}

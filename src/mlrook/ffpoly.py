@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .boards import _check_m
+from .boards import _check_int, _check_m
 
 __all__ = [
     "FFPoly",
@@ -65,8 +65,7 @@ class FFPoly:
     def __post_init__(self) -> None:
         coeffs = list(self.coeffs)
         for c in coeffs:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise ValueError(f"coefficient {c!r} is not an integer")
+            _check_int("coefficient", c)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -83,8 +82,7 @@ class FFPoly:
 
     def eval(self, x: int) -> int:
         """Exact evaluation at an integer point, respecting the basis."""
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"evaluation point {x!r} is not an integer")
+        _check_int("evaluation point", x)
         result = 0
         if self.m is None:
             for c in reversed(self.coeffs):
@@ -160,8 +158,7 @@ class RootMultiset:
     def __post_init__(self) -> None:
         constants = tuple(self.constants)
         for c in constants:  # before sorting, which may compare them
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise ValueError(f"root constant {c!r} is not an integer")
+            _check_int("root constant", c)
         object.__setattr__(self, "constants", tuple(sorted(constants)))
 
     def __iter__(self):

@@ -30,7 +30,7 @@ so it neither recurses nor visits each placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .boards import FerrersBoard, _check_int, _check_m
 
@@ -65,7 +65,7 @@ class FilePlacement:
     def __post_init__(self) -> None:
         if not isinstance(self.board, FerrersBoard):
             raise ValueError(f"board {self.board!r} is not a FerrersBoard")
-        cells = tuple((c, r) for c, r in self.cells)
+        cells = _pairs(self.cells)
         for col, row in cells:  # before sorting, which may compare them
             if any(isinstance(x, bool) or not isinstance(x, int) for x in (col, row)):
                 raise InvalidPlacementError(f"cell {col!r}:{row!r} is not a pair of integers")
@@ -135,20 +135,25 @@ _set_board = FilePlacement.board.__set__
 _set_cells = FilePlacement.cells.__set__
 
 
+def _pairs(cells: Iterable) -> tuple[tuple, ...]:
+    # the given cells as (column, row) tuples; a cell that is not a pair is named
+    pairs = []
+    for cell in cells:
+        try:
+            col, row = cell
+        except (TypeError, ValueError):
+            raise InvalidPlacementError(f"cell {cell!r} is not a (column, row) pair") from None
+        pairs.append((col, row))
+    return tuple(pairs)
+
+
 def _cells_string(cells: tuple[tuple[int, int], ...]) -> str:
     return ";".join(f"{col}:{row}" for col, row in cells)
 
 
 def is_m_level_rook_placement(placement: FilePlacement, m: int) -> bool:
     """True iff no two rooks share a level (columns are distinct already)."""
-    _check_m(m)
-    seen: set[int] = set()
-    for _, row in placement.cells:
-        level = (row + m - 1) // m
-        if level in seen:
-            return False
-        seen.add(level)
-    return True
+    return len(placement.level_counts(m)) == len(placement.cells)
 
 
 def _check_k(k: int) -> None:

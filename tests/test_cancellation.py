@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -18,7 +20,13 @@ from mlrook.cancellation import (
 )
 from mlrook.placements import FilePlacement, enumerate_file_placements
 from mlrook.rooktheory import weight
-from oracles import boards_up_to, brute_cover, brute_file_cells, is_mlevel_cells
+from oracles import (
+    boards_up_to,
+    brute_class_key,
+    brute_cover,
+    brute_file_cells,
+    is_mlevel_cells,
+)
 
 # the worked four-member class: 7-column board, m = 2
 WIDE_BOARD = make_board((1, 3, 4, 4, 4, 4, 4))
@@ -166,6 +174,73 @@ class TestCanonicalClass:
         board = make_board((4, 4, 4))
         with pytest.raises(ValueError, match="is not an integer"):
             CancellationClass(board, 2, 1, fixed, movable)
+
+
+def class_triples(board, m):
+    """Every (level, fixed, movable) with at least one fixed cell on the
+    board, no two in a column, one or more of the other columns movable,
+    and a level the board reaches."""
+    top = -(-max(board.heights, default=0) // m)
+    for k in range(1, board.n + 1):
+        for fixed in brute_file_cells(board, k):
+            used = {col for col, _ in fixed}
+            free = [col for col in range(1, board.n + 1) if col not in used]
+            for size in range(1, len(free) + 1):
+                for movable in itertools.combinations(free, size):
+                    for level in range(1, top + 1):
+                        yield level, fixed, movable
+
+
+class TestConstructorIsThePartition:
+    # the constructor accepts a triple exactly when it is the class of
+    # some placement; a movable column that only partly meets the level
+    # is still refused as the construction's domain error
+
+    @pytest.mark.parametrize(
+        "heights, triple",
+        [
+            # level 1 holds three rooks of the first member, level 2 two
+            ((4, 4, 4, 4, 4), (1, ((1, 1), (4, 3), (5, 3)), (2, 3))),
+            # two rooks in each level: the tie goes to level 1
+            ((4, 4, 4, 4), (2, ((1, 1), (2, 1), (3, 3)), (4,))),
+        ],
+    )
+    def test_class_of_another_level_rejected(self, heights, triple):
+        board = make_board(heights)
+        level, fixed, movable = triple
+        first = FilePlacement(board, fixed + tuple((col, 2 * level - 1) for col in movable))
+        assert canonical_class(first, 2).level != level
+        with pytest.raises(ValueError, match="not the canonical class"):
+            CancellationClass(board, 2, *triple)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_accepts_exactly_the_class_keys(self, m):
+        for board in boards_up_to(3, 3 * m):
+            if board.n and board.heights[-1] > m * board.n:
+                continue
+            keys = {
+                brute_class_key(cells, m)
+                for k in range(board.n + 1)
+                for cells in brute_file_cells(board, k)
+            }
+            for triple in class_triples(board, m):
+                level, fixed, movable = triple
+                partial = any(board.heights[col - 1] < m * level for col in movable)
+                try:
+                    cls = CancellationClass(board, m, *triple)
+                except NonSingletonBoardError:
+                    assert triple not in keys or partial, (board, m, triple)
+                    continue
+                except ValueError:
+                    assert triple not in keys, (board, m, triple)
+                    continue
+                assert triple in keys and not partial, (board, m, triple)
+                assert (cls.level, cls.fixed_cells, cls.movable_columns) == triple
+
+    @pytest.mark.parametrize("cell", [5, (1, 2, 3), (1,), None])
+    def test_fixed_cell_that_is_not_a_pair_rejected(self, cell):
+        with pytest.raises(ValueError, match=rf"cell {re.escape(repr(cell))} is not"):
+            CancellationClass(make_board((4, 4, 4)), 2, 1, [(1, 1), cell], (2,))
 
 
 class TestClassMembers:

@@ -334,6 +334,12 @@ class TestCensus:
         assert code == 0
         assert json.loads(out)["boards"] == ["0,2,2,4", "0,2,3,3", "1,1,2,4", "1,1,3,3"]
 
+    def test_non_integer_level_exits_2(self, capsys):
+        # the same message as a bad board token
+        code, out, err = run_cli(capsys, "census", "--levels", "0, x", "--m", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: bad levels string: token 'x' at position 2 is not an integer\n"
+
     def test_negative_level_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "census", "--levels", "0,-1", "--m", "2")
         assert code == 2

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 import tracemalloc
 from itertools import islice
 
@@ -60,6 +61,11 @@ class TestFilePlacementValue:
         for cells in (((2, 2.0),), ((True, 1),), ((1, 1), (2, False)), (("a", 1), (2, 1))):
             with pytest.raises(InvalidPlacementError, match="not a pair of integers"):
                 FilePlacement(board, cells)
+
+    @pytest.mark.parametrize("cell", [5, (1, 2, 3), (1,), None])
+    def test_cell_that_is_not_a_pair_rejected(self, cell):
+        with pytest.raises(InvalidPlacementError, match=rf"cell {re.escape(repr(cell))} is not"):
+            FilePlacement(make_board((2, 4, 4)), [(1, 1), cell])
 
     def test_with_and_without_rook(self):
         p = FilePlacement(make_board((1, 2)), ((1, 1),))
