@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Collection, Iterator, NamedTuple
+from typing import Collection, Iterator
 
 from .boards import FerrersBoard, _check_int, _check_m, _rows_of_level, is_singleton
 from .ffpoly import expand_roots
@@ -93,11 +93,6 @@ def nonrook_file_placements(
 
 
 _Key = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
-
-
-class _Walked(NamedTuple):
-    # a walked placement as ``weight`` reads it, without a FilePlacement
-    cells: tuple[tuple[int, int], ...]
 
 
 def _class_key(cells: tuple[tuple[int, int], ...], m: int) -> _Key | None:
@@ -351,7 +346,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         if key is None:
             continue
         count += 1
-        total += weight(_Walked(cells), m)
+        total += weight(FilePlacement._trusted(board, cells), m)
         if cells != _first_member(key, m):
             continue
         members = list(_members(key, m))

@@ -96,8 +96,9 @@ def weighted_file_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
 
 
 def gjw_roots(board: FerrersBoard) -> RootMultiset:
-    """Column root constants ``b_i - (i-1)`` of the classical product form."""
-    return RootMultiset(tuple(b - i for i, b in enumerate(board.heights)))
+    """Column root constants ``b_i - (i-1)`` of the classical product form:
+    the ``br`` roots at m = 1."""
+    return br_roots(board, 1)
 
 
 def br_roots(board: FerrersBoard, m: int) -> RootMultiset:
@@ -230,13 +231,19 @@ def verify_factorizations(
     if requested.intersection(("gjw", "br", "zone", "level")):
         pm = m_level_rook_poly(board, m)
 
+    # the column product, expanded once: gjw_roots(board) is br_roots(board, 1)
+    singleton = is_singleton(board, m)
+    column: FFPoly | None = None
+    if "file" in requested or ("br" in requested and singleton) or ("gjw" in requested and m == 1):
+        column = expand_roots(br_roots(board, m))
+
     gjw = None
     if "gjw" in requested and m == 1:
-        gjw = compare("gjw", expand_roots(gjw_roots(board)), pm)
+        gjw = compare("gjw", column, pm)
 
     br = None
-    if "br" in requested and is_singleton(board, m):
-        br = compare("br_equals_pm", expand_roots(br_roots(board, m)), pm)
+    if "br" in requested and singleton:
+        br = compare("br_equals_pm", column, pm)
 
     zone = None
     if "zone" in requested:
@@ -248,9 +255,7 @@ def verify_factorizations(
 
     file_check = None
     if "file" in requested:
-        file_check = compare(
-            "file", weighted_file_poly(board, m), expand_roots(br_roots(board, m))
-        )
+        file_check = compare("file", weighted_file_poly(board, m), column)
 
     return FactorizationReport(
         board=board,

@@ -257,6 +257,24 @@ class TestVerifyFactorizations:
         assert not report.ok
         assert report.details["zone"] == {"lhs": [0, 1, 1], "rhs": [7]}
 
+    @pytest.mark.parametrize("heights, m", [((1, 1, 2, 4), 1), ((1, 3, 4, 4), 2)])
+    def test_column_product_expanded_once(self, monkeypatch, heights, m):
+        # gjw (at m = 1), br and file share one column product; zone and
+        # level are expanded apart, since their agreement is what is checked
+        import mlrook.rooktheory as rt
+
+        calls = []
+
+        def counted(roots):
+            calls.append(roots)
+            return expand_roots(roots)
+
+        monkeypatch.setattr(rt, "expand_roots", counted)
+        report = rt.verify_factorizations(make_board(heights), m)
+        assert report.ok
+        assert report.br_equals_pm and report.file_equals_br_product
+        assert len(calls) == 3  # column, zone and level
+
 
 class TestEquivalence:
     def test_known_equivalent_pair(self):
