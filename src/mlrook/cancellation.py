@@ -27,15 +27,14 @@ Cells are plain ``(column, row)`` int tuples throughout, as the walker
 yields them; ``CancellationClass.fixed_cells`` holds them too.
 
 ``verify_cover`` checks the partition in one walk over the placements,
-keeping no set of them.  It counts the non-rook placements and sums
-their weights.  A class is checked when the walk reaches its first
-member, the one with every movable rook on the bottom row of l: its
-members are regenerated, each must map back to the class, and their
-weights must sum to zero.  The cover is then proved by counting.  A
-placement has one class, so the distinct members of the well-defined
-classes are distinct placements, and their number equals the non-rook
-count exactly when the classes are disjoint and exhaustive.  That count
-is itself checked against ``e_k - r_k``: e_k, the number of file
+keeping no set of them.  Each non-rook placement is keyed and weighed
+once, checked in O(k) to be a member of the class its key names, and
+tallied under that key: one more member and its weight.  The walked
+placements are distinct, so a class whose tally reaches its size
+``m ** len(movable)`` was walked in full, each member mapping back to
+it; its tallied weights must sum to zero.  A key is a function, so the
+classes are disjoint, and they are exhaustive when the tallied count
+equals the non-rook count and ``e_k - r_k``: e_k, the number of file
 placements of k rooks, is the coefficient of ``x^(n-k)`` in
 ``prod(x + h_i)``, and r_k is the m-level rook number from the
 block-weight sum.  So a class key that wrongly reads a placement as an
@@ -266,12 +265,13 @@ def reintroduction_sum(
 class CoverReport:
     """Outcome of checking the partition on one (board, m, k).
 
-    ``well_defined``: every member of every class maps back to the same
-    class.  ``disjoint_cover``: the classes are pairwise disjoint and
-    exhaust the non-rook placements.  ``class_sums_zero``: every class
-    weight sum is zero.  ``total_zero``: the weights over all non-rook
-    placements sum to zero.  ``witness`` names an offending placement
-    when some check fails.
+    ``well_defined``: every non-rook placement is a member of the class
+    its key names, and every class's walked count equals its size.
+    ``disjoint_cover``: the classes are pairwise disjoint and exhaust the
+    non-rook placements.  ``class_sums_zero``: every class weight sum is
+    zero.  ``total_zero``: the weights over all non-rook placements sum
+    to zero.  ``witness`` names an offending placement when some check
+    fails.
     """
 
     board: FerrersBoard
@@ -322,65 +322,78 @@ class CoverReport:
 def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     """Partition the non-rook file placements of k rooks and check it.
 
-    One walk checks each class at its first member and proves the cover
-    by counting, as the module docstring describes.  Only a count that
-    fails walks again, to name the first placement it could not account
-    for.  A class is recorded only when the walk reaches its first
-    member, so when the count fails, ``classes``, ``class_sums``,
-    ``well_defined`` and ``class_sums_zero`` speak only for the classes
-    the walk reached.  Requires a singleton board.
+    One walk keys, weighs and tallies each non-rook placement once, as
+    the module docstring describes; a placement outside the class its
+    key names is a witness.  Only a failed count walks again, to name
+    one.  Requires a singleton board.
     """
     _check_m(m)
     _check_k(k)
     if not is_singleton(board, m):
         raise NonSingletonBoardError(f"board {board} is not a singleton board for m={m}")
 
-    heights = board.heights
-    sums: dict[_Key, int] = {}
-    count = total = credited = 0
-    well_defined = True
-    sums_zero = True
+    tallies: dict[_Key, list[int]] = {}  # key -> [walked members, weight sum]
+    count = total = 0
     witness: str | None = None
-    for cells in _walk(heights, k):
+    for cells in _walk(board.heights, k):
         key = _class_key(cells, m)
         if key is None:
             continue
         count += 1
-        total += weight(FilePlacement._trusted(board, cells), m)
-        if cells != _first_member(key, m):
+        w = weight(FilePlacement._trusted(board, cells), m)
+        total += w
+        if not _in_class(cells, key, m):
+            witness = witness or _cells_string(cells)
             continue
-        members = list(_members(key, m))
-        stray = next((p for p in members if _class_key(p, m) != key), None)
-        if stray is None:
-            credited += len(_credited(key, members, heights, m))
+        tally = tallies.get(key)
+        if tally is None:
+            tallies[key] = [1, w]
         else:
-            well_defined = False
-            witness = witness or _cells_string(stray)
-        s = sum(_row_weight(member, m) for member in members)
-        if s != 0:
-            sums_zero = False
-            witness = witness or _cells_string(members[0])
-        sums[key] = s
+            tally[0] += 1
+            tally[1] += w
 
-    disjoint_cover = credited == count == _nonrook_total(board, m, k)
-    if not disjoint_cover and witness is None:
-        witness = _first_unaccounted(board, m, k, sums)
-
-    keys = sorted(sums)
+    keys = sorted(tallies)
+    incomplete = {key for key in keys if tallies[key][0] != m ** len(key[2])}
+    tallied = sum(tally[0] for tally in tallies.values())
+    well_defined = tallied == count and not incomplete
+    disjoint_cover = tallied == count == _nonrook_total(board, m, k)
+    if not (well_defined and disjoint_cover):
+        witness = witness or _first_unaccounted(board, m, k, incomplete)
+    nonzero = [key for key in keys if tallies[key][1]]
+    if nonzero:
+        witness = witness or _cells_string(_first_member(nonzero[0], m))
     return CoverReport(
         board=board,
         m=m,
         k=k,
         nonrook_count=count,
         classes=tuple(CancellationClass._trusted(board, m, key) for key in keys),
-        class_sums=tuple(sums[key] for key in keys),
+        class_sums=tuple(tallies[key][1] for key in keys),
         well_defined=well_defined,
         disjoint_cover=disjoint_cover,
-        class_sums_zero=sums_zero,
+        class_sums_zero=not nonzero,
         total_zero=(total == 0),
         total_weight=total,
         witness=witness,
     )
+
+
+def _in_class(cells: tuple[tuple[int, int], ...], key: _Key, m: int) -> bool:
+    # whether the column-sorted cells are a member of the key's class: the
+    # cells outside the movable columns are the fixed ones, and each movable
+    # column holds one rook, in the level's m rows
+    level, fixed, movable = key
+    if len(cells) != len(fixed) + len(movable):
+        return False
+    swept = set(movable)
+    rows = _rows_of_level(level, m)
+    rest = []
+    for cell in cells:
+        if cell[0] not in swept:
+            rest.append(cell)
+        elif cell[1] not in rows:
+            return False
+    return tuple(rest) == fixed
 
 
 def _nonrook_total(board: FerrersBoard, m: int, k: int) -> int:
@@ -399,34 +412,17 @@ def _first_member(key: _Key, m: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(fixed + tuple((col, bottom) for col in movable)))
 
 
-def _credited(
-    key: _Key, members: list[tuple[tuple[int, int], ...]], heights: tuple[int, ...], m: int
-) -> set[tuple[tuple[int, int], ...]]:
-    """The members a well-defined class adds to the count: distinct,
-    column-sorted like the walk's placements, and on the board.  The
-    fixed cells are on it already, being those of a walked placement."""
-    level, _, movable = key
-    if any(heights[col - 1] < m * level for col in movable):
-        return set()
-    return {p for p in members if all(a[0] < b[0] for a, b in zip(p, p[1:]))}
-
-
 def _first_unaccounted(
-    board: FerrersBoard, m: int, k: int, checked: Collection[_Key]
+    board: FerrersBoard, m: int, k: int, incomplete: Collection[_Key]
 ) -> str | None:
-    """Failure path: the first placement whose class key disagrees with
-    ``is_m_level_rook_placement``, or the first non-rook placement its
-    class did not credit.  It runs only when no class check named a
-    witness, so every checked class is well defined.  None when every
-    walked placement is accounted for, which leaves the walk itself at
-    fault."""
+    """Failure path: the first walked placement that is a member of an
+    incomplete class or whose class key disagrees with
+    ``is_m_level_rook_placement``.  None when there is none, which leaves
+    the walk itself at fault."""
     for cells in _walk(board.heights, k):
         key = _class_key(cells, m)
-        if (key is None) != is_m_level_rook_placement(FilePlacement._trusted(board, cells), m):
-            return _cells_string(cells)
-        if key is not None and (
-            key not in checked
-            or cells not in _credited(key, list(_members(key, m)), board.heights, m)
+        if key in incomplete or (key is None) != is_m_level_rook_placement(
+            FilePlacement._trusted(board, cells), m
         ):
             return _cells_string(cells)
     return None

@@ -71,11 +71,12 @@ class FilePlacement:
                 raise InvalidPlacementError(f"cell {col!r}:{row!r} is not a pair of integers")
         cells = tuple(sorted(cells))
         _set_cells(self, cells)
-        prev_col = 0
+        heights = self.board.heights
+        prev_col = None  # not 0, which would read a column-0 cell as a repeat
         for col, row in cells:
             if col == prev_col:
                 raise InvalidPlacementError(f"column {col} is occupied twice")
-            if not self.board.contains(col, row):
+            if not (1 <= col <= len(heights) and 1 <= row <= heights[col - 1]):
                 raise InvalidPlacementError(f"cell {col}:{row} is not on the board")
             prev_col = col
 

@@ -447,32 +447,45 @@ class TestVerifyCover:
         assert report.witness in ("1:2;2:1", "1:2;2:2")
 
     def test_wrong_member_sweep_is_caught(self, monkeypatch):
-        real_members = cancellation._members
+        # a key whose fixed cells sit a level up names a class that holds
+        # none of the placements given to it
+        real_key = cancellation._class_key
 
-        def members_one_level_up(key, m):
-            for cells in real_members(key, m):
-                yield tuple((c, r + m) for c, r in cells)
+        def key_lifted_a_level(cells, m):
+            key = real_key(cells, m)
+            if key is None:
+                return None
+            level, fixed, movable = key
+            return level + 1, tuple((c, r + m) for c, r in fixed), movable
 
-        monkeypatch.setattr(cancellation, "_members", members_one_level_up)
+        monkeypatch.setattr(cancellation, "_class_key", key_lifted_a_level)
         report = verify_cover(make_board((4, 4)), 2, 2)
         assert not report.well_defined
         assert not report.disjoint_cover
-        assert report.witness == "1:3;2:3"
+        assert report.classes == ()
+        assert report.witness == "1:1;2:1"
 
     def test_broken_member_weights_are_caught(self, monkeypatch):
-        monkeypatch.setattr(cancellation, "_row_weight", lambda cells, m: 1)
+        # +1 when the first rook is on row 1, else -1: the total still
+        # vanishes, the two classes do not
+        monkeypatch.setattr(
+            cancellation, "weight", lambda placement, m: 1 if placement.cells[0][1] == 1 else -1
+        )
         report = verify_cover(make_board((2, 2)), 2, 2)
         assert report.well_defined and report.disjoint_cover and report.total_zero
         assert not report.class_sums_zero
-        assert report.class_sums == (2, 2)
+        assert report.class_sums == (2, -2)
         assert report.witness == "1:1;2:1"
 
     def test_broken_total_is_caught(self, monkeypatch):
+        # one weight per placement feeds both the total and its class sum
         monkeypatch.setattr(cancellation, "weight", lambda placement, m: 1)
         report = verify_cover(make_board((2, 2)), 2, 2)
-        assert report.class_sums_zero
+        assert report.well_defined and report.disjoint_cover
         assert not report.total_zero
         assert report.total_weight == 4
+        assert not report.class_sums_zero
+        assert report.class_sums == (2, 2)
         assert not report.ok
 
     @pytest.mark.parametrize("k", BAD_KS)
@@ -481,41 +494,86 @@ class TestVerifyCover:
             verify_cover(make_board((2, 2)), 2, k)
 
     def test_repeated_first_member_is_caught(self, monkeypatch):
-        # the first member m^j times: a count of members with no
-        # distinctness check would credit every class in full
-        def first_member_repeated(key, m):
-            level, fixed, movable = key
-            first = tuple(sorted(fixed + tuple((c, m * level - m + 1) for c in movable)))
-            for _ in range(m ** len(movable)):
-                yield first
+        # a key that lists its movable column twice claims m^2 members where
+        # the board holds m: no placement has two rooks in one column
+        real_key = cancellation._class_key
 
-        monkeypatch.setattr(cancellation, "_members", first_member_repeated)
+        def key_repeating_movable(cells, m):
+            key = real_key(cells, m)
+            if key is None:
+                return None
+            level, fixed, movable = key
+            return level, fixed, movable + movable
+
+        monkeypatch.setattr(cancellation, "_class_key", key_repeating_movable)
         report = verify_cover(make_board((2, 2)), 2, 2)
-        assert report.well_defined
+        assert not report.well_defined
         assert not report.disjoint_cover
-        assert report.witness is not None
+        assert report.witness == "1:1;2:1"
 
     def test_unsorted_member_is_not_credited(self, monkeypatch):
-        # the first member with the anchor level's rooks listed first may
-        # still map back to its class; where that order is not the column
-        # order, this copy of the first member displaces the last one, and
-        # the count must not credit it
-        real_members = cancellation._members
+        # a key listing the anchor level's fixed rook first: where that is
+        # not the column order, the placement is not a member of the class
+        # the key names and is not tallied
+        real_key = cancellation._class_key
 
-        def first_member_reordered_last(key, m):
-            members = list(real_members(key, m))
-            reordered = tuple(
-                sorted(members[0], key=lambda cell: (cell[1] + m - 1) // m != key[0])
-            )
-            if reordered != members[0] and cancellation._class_key(reordered, m) == key:
-                members[-1] = reordered
-            return iter(members)
+        def key_anchor_first(cells, m):
+            key = real_key(cells, m)
+            if key is None:
+                return None
+            level, fixed, movable = key
+            fixed = tuple(sorted(fixed, key=lambda cell: (cell[1] + m - 1) // m != level))
+            return level, fixed, movable
 
-        monkeypatch.setattr(cancellation, "_members", first_member_reordered_last)
+        monkeypatch.setattr(cancellation, "_class_key", key_anchor_first)
         report = verify_cover(make_board((2, 4, 4)), 2, 3)
-        assert report.well_defined
+        assert not report.well_defined
         assert not report.disjoint_cover
-        assert report.witness is not None
+        assert report.witness == "1:1;2:3;3:3"
+
+    def test_split_class_is_caught(self, monkeypatch):
+        # a key that reads one member of a class as an m-level rook
+        # placement leaves the class short of its m^j members
+        real_key = cancellation._class_key
+
+        def key_dropping_a_member(cells, m):
+            return None if cells == ((1, 1), (2, 2)) else real_key(cells, m)
+
+        monkeypatch.setattr(cancellation, "_class_key", key_dropping_a_member)
+        report = verify_cover(make_board((2, 2)), 2, 2)
+        assert not report.well_defined
+        assert not report.disjoint_cover
+        assert not report.class_sums_zero
+        assert report.nonrook_count == 3
+        assert report.witness == "1:1;2:1"
+
+    def test_each_placement_keyed_and_weighed_once(self, monkeypatch):
+        calls = {"_class_key": 0, "weight": 0}
+
+        def counting(name):
+            real = getattr(cancellation, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cancellation, name, counting(name))
+        for heights, m, k in [
+            ((1, 3, 4, 4, 4, 4, 4), 2, 6),
+            ((2, 2), 2, 2),
+            ((1, 3, 3, 6, 6), 3, 3),
+            ((2, 4, 4, 6, 6), 2, 4),
+            ((4, 4, 4, 4), 1, 3),
+        ]:
+            board = make_board(heights)
+            calls.update(_class_key=0, weight=0)
+            report = verify_cover(board, m, k)
+            assert report.ok
+            walked = sum(1 for _ in enumerate_file_placements(board, k))
+            assert calls == {"_class_key": walked, "weight": report.nonrook_count}, heights
 
     def test_classes_equal_public_construction(self):
         # the trusted builder behind verify_cover and canonical_class

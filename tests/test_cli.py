@@ -277,11 +277,16 @@ class TestPartition:
     def test_failed_cover_exits_1(self, capsys, monkeypatch):
         import mlrook.cancellation as cancellation
 
-        monkeypatch.setattr(cancellation, "_row_weight", lambda cells, m: 1)
+        # +1 when the first rook is on row 1, else -1: the classes of k = 2
+        # sum to 2 and -2 while every total vanishes
+        monkeypatch.setattr(
+            cancellation, "weight", lambda placement, m: 1 if placement.cells[0][1] == 1 else -1
+        )
         code, out, _ = run_cli(capsys, "partition", "--board", "2,2", "--m", "2")
         assert code == 1
         summary = json.loads(out.splitlines()[-1])
         assert summary["class_sums_zero"] is False
+        assert summary["total_zero"] is True
         assert summary["ok"] is False
         assert summary["witness"] == "1:1;2:1"
 

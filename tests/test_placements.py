@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 
+import mlrook.boards as boards
 from mlrook.boards import FerrersBoard, make_board
 from mlrook.placements import (
     FilePlacement,
@@ -40,6 +41,20 @@ class TestFilePlacementValue:
     def test_off_board_rejected(self):
         with pytest.raises(InvalidPlacementError, match="2:2"):
             FilePlacement(make_board((1, 1)), ((2, 2),))
+
+    @pytest.mark.parametrize("cell", [(0, 1), (-1, 1), (3, 1), (1, 0), (1, 2), (2, 4)])
+    def test_cell_just_off_the_board_rejected(self, cell):
+        with pytest.raises(InvalidPlacementError, match=f"cell {cell[0]}:{cell[1]} is not on"):
+            FilePlacement(make_board((1, 3)), (cell,))
+
+    def test_construction_checks_each_coordinate_once(self, monkeypatch):
+        # the cell loop's own type test covers what board.contains would
+        # check again through boards._check_int
+        calls = []
+        monkeypatch.setattr(boards, "_check_int", lambda name, value: calls.append(value))
+        p = FilePlacement(SQ4, FIG_ROOK_SQ4)
+        assert p.cells == tuple(sorted(FIG_ROOK_SQ4))
+        assert calls == []
 
     def test_cells_sorted_by_column(self):
         p = FilePlacement(SQ4, ((3, 1), (1, 2)))
