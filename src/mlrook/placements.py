@@ -20,11 +20,15 @@ right in one inner loop; each column's one-cell tuples are memoised the
 first time the sweep passes over the whole column, so later prefixes
 reuse them.  Streams are generated lazily.
 
-The m-level rook numbers and the weighted file numbers are one
-block-weight sum over all file placements (see ``_block_sums``).  It is
-exact and uses none of the product forms: one sweep over the columns
-sums the weights of the placements that share a block-occupancy state,
-so it neither recurses nor visits each placement.
+The m-level rook numbers are a block-weight sum over all file
+placements (see ``_block_sums``).  It is exact and uses none of the
+product forms: one sweep over the columns sums the weights of the
+placements that share a block-occupancy state, so it neither recurses
+nor visits each placement.  The weighted file numbers come from the
+column recurrence ``_column_recurrence`` instead, O(n^2) integer steps
+however many rook-count histograms the placements reach; the
+block-weight sum over single rows stays as the count that
+``rooktheory.verify_factorizations`` checks the column product against.
 """
 
 from __future__ import annotations
@@ -251,8 +255,13 @@ def enumerate_file_placements(board: FerrersBoard, k: int) -> Iterator[FilePlace
     k = 0 yields the single empty placement; k > n yields nothing.
     """
     _check_k(k)
+    # the stores of ``_trusted``, inlined: a call per record costs more
+    # than walking to it
     for cells in _walk(board.heights, k):
-        yield FilePlacement._trusted(board, cells)
+        placement = _new(FilePlacement)
+        _set_board(placement, board)
+        _set_cells(placement, cells)
+        yield placement
 
 
 def enumerate_m_level_rook_placements(
@@ -267,7 +276,10 @@ def enumerate_m_level_rook_placements(
     _check_m(m)
     _check_k(k)
     for cells in _walk(board.heights, k, m):
-        yield FilePlacement._trusted(board, cells)
+        placement = _new(FilePlacement)
+        _set_board(placement, board)
+        _set_cells(placement, cells)
+        yield placement
 
 
 def _block_sums(heights: tuple[int, ...], size: int, t: int) -> tuple[int, ...]:
@@ -330,6 +342,27 @@ def _shift(hist: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
         counts[old - 1] -= 1
     counts[new - 1] += 1
     return tuple(counts)
+
+
+def _column_recurrence(heights: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """``(s_0, ..., s_n)``: the coefficients of ``prod(x + b_i - t*(i-1))``
+    from ``x^n`` down, built one column of height b at a time by
+    ``s_k <- s_k + (b - t*(k-1)) * s_{k-1}``.
+
+    On a Ferrers board this is ``_block_sums(heights, 1, t)``: the k - 1
+    rooks already placed sit in rows the new column also has, so its b
+    rows weigh ``b - t*(k-1)`` in all.  t = 0 gives e_k, the number of
+    file placements of k rooks.  Every s_k above ``top`` is zero, so
+    the inner loop stops there.
+    """
+    s = [1] + [0] * len(heights)
+    top = 0
+    for b in heights:
+        for k in range(top + 1, 0, -1):
+            s[k] += (b - t * (k - 1)) * s[k - 1]
+        if s[top + 1]:
+            top += 1
+    return tuple(s)
 
 
 def rook_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:

@@ -21,11 +21,13 @@ is weighted by a product over rows of ``ff(1, rooks_in_row, m)``.  On
 singleton boards the two generating polynomials coincide, which forces
 the weights of non-rook file placements to cancel (see cancellation).
 
-Both number sequences come from one block-weight sum in ``placements``:
-r_k weights blocks of m rows by ``ff(1, c, 1)`` and f_k weights single
-rows by ``ff(1, c, m)``.  The sum is exact and reads only the column
-heights: it sweeps the columns once, summing over block-occupancy
-states, and uses none of the product forms it is compared against.
+f_k comes from the column recurrence in ``placements``, the column
+product's own induction, in O(n^2) integer steps.  r_k comes from the
+block-weight sum ``_block_sums`` over blocks of m rows weighted by
+``ff(1, c, 1)``: it is exact, reads only the column heights, and uses
+none of the product forms it is compared against.  Its f-mode, single
+rows weighted by ``ff(1, c, m)``, is the independent side of
+``verify_factorizations``' ``file`` check.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .boards import (
     zones,
 )
 from .ffpoly import FFPoly, RootMultiset, expand_roots
-from .placements import FilePlacement, _block_sums, rook_numbers
+from .placements import FilePlacement, _block_sums, _column_recurrence, rook_numbers
 
 __all__ = [
     "FactorizationReport",
@@ -88,11 +90,12 @@ def _row_weight(cells: Iterable[tuple[int, int]], m: int) -> int:
 def weighted_file_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """All weighted file numbers ``(f_0, ..., f_n)``, exactly.
 
-    The block-weight sum over single rows: adding a rook to a row
-    already holding c rooks multiplies the weight by ``1 - c*m``.
+    Adding a rook to a row already holding c rooks multiplies the weight
+    by ``1 - c*m``, so a column of height b adds ``b - m*(k-1)`` times
+    ``f_{k-1}`` to ``f_k``: the column recurrence, in O(n^2) steps.
     """
     _check_m(m)
-    return _block_sums(board.heights, 1, m)
+    return _column_recurrence(board.heights, m)
 
 
 def gjw_roots(board: FerrersBoard) -> RootMultiset:
@@ -147,8 +150,8 @@ def m_level_rook_poly(board: FerrersBoard, m: int) -> FFPoly:
 
 def weighted_file_poly(board: FerrersBoard, m: int) -> FFPoly:
     """The polynomial ``sum_k f_k * ff(x, n-k, m)`` in the power basis,
-    with the weighted file numbers from the block-weight sum
-    ``_block_sums``."""
+    with the weighted file numbers from the column recurrence of
+    ``weighted_file_numbers``."""
     return _basis_sum_poly(weighted_file_numbers(board, m), m)
 
 
@@ -205,6 +208,11 @@ def verify_factorizations(
     from the block-weight sum ``_block_sums``, which reads only the
     column heights and none of the product forms.
 
+    The ``file`` check expands f_k from ``_block_sums`` over single rows,
+    not from ``weighted_file_numbers``: the column recurrence behind that
+    is the column product's own induction, so comparing the two would
+    prove nothing.
+
     ``checks`` limits which identities run (names from ``CHECK_NAMES``);
     by default all applicable ones run.  Comparisons are coefficient-wise
     on fully expanded power-basis polynomials.
@@ -255,7 +263,8 @@ def verify_factorizations(
 
     file_check = None
     if "file" in requested:
-        file_check = compare("file", weighted_file_poly(board, m), column)
+        counted = _basis_sum_poly(_block_sums(board.heights, 1, m), m)
+        file_check = compare("file", counted, column)
 
     return FactorizationReport(
         board=board,

@@ -30,6 +30,7 @@ from mlrook.rooktheory import (
     gjw_roots,
     level_roots,
     m_level_rook_poly,
+    verify_factorizations,
     weight,
     weighted_file_numbers,
     weighted_file_poly,
@@ -104,6 +105,9 @@ def test_criterion_05_file_factorization_family():
                 assert weighted_file_poly(board, m) == expand_roots(
                     br_roots(board, m)
                 ), (board, m)
+                # the same identity against the counted f_k, not the recurrence
+                report = verify_factorizations(board, m, ("file",))
+                assert report.file_equals_br_product, (board, m)
 
     _report(5, "weighted-file polynomial equals the column product on every board", check)
 

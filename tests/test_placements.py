@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import pickle
 import re
 import tracemalloc
@@ -203,26 +204,47 @@ class TestEnumerateMLevel:
             assert is_m_level_rook_placement(p, 2)
 
 
+def assert_records(board, walked, expected):
+    # each record, stored without re-validation, is the placement the
+    # validating constructor builds from the oracle's cells, on the very
+    # board object given
+    assert [p.cells for p in walked] == expected, board
+    for placement, cells in zip(walked, expected):
+        built = FilePlacement(board, cells)
+        assert placement == built and hash(placement) == hash(built), placement
+        assert placement.board is board
+
+
 class TestWalkSequence:
     # the exact stream, order and multiplicity included, against the
     # oracle's placements sorted lexicographically
     def test_file_walk_is_sorted_oracle(self):
         for board in boards_up_to(4, 6):
             for k in range(board.n + 2):
-                walked = [p.cells for p in enumerate_file_placements(board, k)]
-                assert walked == sorted(brute_file_cells(board, k)), (board, k)
+                walked = list(enumerate_file_placements(board, k))
+                assert_records(board, walked, sorted(brute_file_cells(board, k)))
 
     def test_mlevel_walk_is_filtered_sorted_oracle(self):
         for board in boards_up_to(4, 6):
             for k in range(board.n + 2):
                 expected = sorted(brute_file_cells(board, k))
                 for m in (1, 2, 3):
-                    walked = [
-                        p.cells for p in enumerate_m_level_rook_placements(board, m, k)
-                    ]
-                    assert walked == [c for c in expected if is_mlevel_cells(c, m)], (
-                        board, m, k,
-                    )
+                    walked = list(enumerate_m_level_rook_placements(board, m, k))
+                    assert_records(board, walked, [c for c in expected if is_mlevel_cells(c, m)])
+
+    def test_streams_check_k_when_iterated(self):
+        # generator functions: a bad k is reported by the first next(), not
+        # by the call that makes the stream
+        assert inspect.isgeneratorfunction(enumerate_file_placements)
+        assert inspect.isgeneratorfunction(enumerate_m_level_rook_placements)
+        for board in boards_up_to(4, 6):
+            for k in (-1, True, 1.5):
+                for stream in (
+                    enumerate_file_placements(board, k),
+                    enumerate_m_level_rook_placements(board, 2, k),
+                ):
+                    with pytest.raises(ValueError, match="rook count k"):
+                        next(stream)
 
     @pytest.mark.parametrize(
         "stream",

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlrook.boards import AmbientSizeError, level_numbers, make_board
+from mlrook.boards import AmbientSizeError, is_singleton, level_numbers, make_board
 from mlrook.ffpoly import FFPoly, RootMultiset, expand_roots
 from mlrook.placements import (
     FilePlacement,
+    _block_sums,
+    _column_recurrence,
     enumerate_file_placements,
     enumerate_m_level_rook_placements,
     rook_numbers,
@@ -28,6 +31,7 @@ from mlrook.rooktheory import (
 from oracles import (
     boards_up_to,
     brute_census,
+    brute_file_cells,
     brute_level_numbers,
     brute_rook_count,
     brute_weight,
@@ -112,6 +116,61 @@ class TestWeightedFileNumbers:
         for k in range(board.n + 1):
             assert rooks[k] == brute_rook_count(board, m, k)
             assert files[k] == brute_weighted_file_number(board, m, k)
+
+
+class TestColumnRecurrence:
+    def test_matches_counter_and_brute_force(self):
+        # the recurrence against the block-weight sum over single rows and
+        # against the weights summed from the definition
+        for board in boards_up_to(4, 6):
+            heights = board.heights
+            e = _column_recurrence(heights, 0)
+            assert e == tuple(reversed(expand_roots(heights).coeffs)), board
+            cells = [list(brute_file_cells(board, k)) for k in range(board.n + 1)]
+            for m in (1, 2, 3, 4):
+                f = _column_recurrence(heights, m)
+                assert f == _block_sums(heights, 1, m), (board, m)
+                assert f == tuple(sum(brute_weight(c, m) for c in by_k) for by_k in cells), (
+                    board, m,
+                )
+
+
+def random_singleton_board(rng, n, m):
+    """A seeded random singleton board of n columns with heights at most
+    m*n: sorted random heights, each column but the last cut down to its
+    m-floor where the next column's m-floor is no higher."""
+    heights = sorted(rng.randint(0, m * n) for _ in range(n))
+    for i in range(n - 1):
+        if heights[i] % m and heights[i] // m >= heights[i + 1] // m:
+            heights[i] -= heights[i] % m
+    return make_board(heights)
+
+
+def assert_singleton_theorem(board, m):
+    """On a singleton board the br, zone and level products all expand to
+    p_m, and the weighted file numbers are the m-level rook numbers."""
+    pm = m_level_rook_poly(board, m)
+    for roots in (br_roots, zone_roots, level_roots):
+        assert expand_roots(roots(board, m)) == pm, (roots.__name__, board, m)
+    assert weighted_file_numbers(board, m) == rook_numbers(board, m), (board, m)
+
+
+class TestSingletonTheoremAtScale:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_every_small_singleton_board(self, m):
+        # every singleton board of at most 4 columns inside its n levels
+        for n in range(5):
+            for board in boards_up_to(n, m * n, min_columns=n):
+                if is_singleton(board, m):
+                    assert_singleton_theorem(board, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_seeded_random_singleton_boards(self, m):
+        rng = random.Random(m)
+        for n in (10, 40, 120):
+            board = random_singleton_board(rng, n, m)
+            assert is_singleton(board, m)
+            assert_singleton_theorem(board, m)
 
 
 class TestRoots:
@@ -256,6 +315,37 @@ class TestVerifyFactorizations:
         assert report.zone_equals_pm is False
         assert not report.ok
         assert report.details["zone"] == {"lhs": [0, 1, 1], "rhs": [7]}
+
+    def test_file_check_does_not_read_the_recurrence(self, monkeypatch):
+        # the recurrence is the column product's own induction, so a wrong
+        # one must not reach the check
+        import mlrook.rooktheory as rt
+
+        monkeypatch.setattr(rt, "_column_recurrence", lambda heights, t: (7,) * (len(heights) + 1))
+        board = make_board((1, 3, 4, 4))
+        assert rt.weighted_file_numbers(board, 2) == (7,) * 5
+        assert rt.verify_factorizations(board, 2, ("file",)).file_equals_br_product is True
+
+    def test_miscounted_file_numbers_fail_the_file_check(self, monkeypatch):
+        import mlrook.rooktheory as rt
+
+        def f1_off_by_one(heights, size, t):
+            sums = list(_block_sums(heights, size, t))
+            if size == 1:
+                sums[1] += 1
+            return tuple(sums)
+
+        monkeypatch.setattr(rt, "_block_sums", f1_off_by_one)
+        board = make_board((1, 3, 4, 4))
+        report = rt.verify_factorizations(board, 2, ("file",))
+        assert report.file_equals_br_product is False
+        assert not report.ok
+        f = list(weighted_file_numbers(board, 2))
+        f[1] += 1
+        assert report.details["file"] == {
+            "lhs": list(rt._basis_sum_poly(f, 2).coeffs),
+            "rhs": list(expand_roots(br_roots(board, 2)).coeffs),
+        }
 
     @pytest.mark.parametrize("heights, m", [((1, 1, 2, 4), 1), ((1, 3, 4, 4), 2)])
     def test_column_product_expanded_once(self, monkeypatch, heights, m):
