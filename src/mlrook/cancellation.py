@@ -36,10 +36,10 @@ it; its tallied weights must sum to zero.  A key is a function, so the
 classes are disjoint, and they are exhaustive when the tallied count
 equals the non-rook count and ``e_k - r_k``: e_k, the number of file
 placements of k rooks, is the coefficient of ``x^(n-k)`` in
-``prod(x + h_i)``, read from the column recurrence, and r_k is the
-m-level rook number from the block-weight sum.  So a class key that
-wrongly reads a placement as an m-level rook placement cannot drop its
-class from both sides of the count.
+``prod(x + h_i)``, and r_k is the m-level rook number from the
+block-weight sum.  So a class key that wrongly reads a placement as an
+m-level rook placement cannot drop its class from both sides of the
+count.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ from itertools import chain, product
 from typing import Collection, Iterator
 
 from .boards import FerrersBoard, _check_int, _check_m, _rows_of_level, is_singleton
+from .ffpoly import expand_roots
 from .placements import (
     FilePlacement,
     _cells_string,
     _check_k,
-    _column_recurrence,
     _pairs,
     _walk,
     is_m_level_rook_placement,
@@ -397,11 +397,12 @@ def _in_class(cells: tuple[tuple[int, int], ...], key: _Key, m: int) -> bool:
 
 
 def _nonrook_total(board: FerrersBoard, m: int, k: int) -> int:
-    # e_k - r_k, with e_k from the column recurrence at t = 0: each column
-    # takes one of its h_i rows or stays empty
-    if k > board.n:
+    # e_k - r_k, with e_k read off prod(x + h_i): each column takes one of
+    # its h_i rows (x^0) or stays empty (x^1)
+    n = board.n
+    if k > n:
         return 0
-    return _column_recurrence(board.heights, 0)[k] - rook_number(board, m, k)
+    return expand_roots(board.heights).coeffs[n - k] - rook_number(board, m, k)
 
 
 def _first_member(key: _Key, m: int) -> tuple[tuple[int, int], ...]:

@@ -346,14 +346,15 @@ def _shift(hist: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
 
 def _column_recurrence(heights: tuple[int, ...], t: int) -> tuple[int, ...]:
     """``(s_0, ..., s_n)``: the coefficients of ``prod(x + b_i - t*(i-1))``
-    from ``x^n`` down, built one column of height b at a time by
-    ``s_k <- s_k + (b - t*(k-1)) * s_{k-1}``.
+    in the basis ``ff(x, n-k, t)``, so that ``sum_k s_k * ff(x, n-k, t)``
+    is the product, built one column of height b at a time by
+    ``s_k <- s_k + (b - t*(k-1)) * s_{k-1}``.  At t = 0 this is the power
+    basis, and s_k is e_k, the number of file placements of k rooks.
 
     On a Ferrers board this is ``_block_sums(heights, 1, t)``: the k - 1
     rooks already placed sit in rows the new column also has, so its b
-    rows weigh ``b - t*(k-1)`` in all.  t = 0 gives e_k, the number of
-    file placements of k rooks.  Every s_k above ``top`` is zero, so
-    the inner loop stops there.
+    rows weigh ``b - t*(k-1)`` in all.  Every s_k above ``top`` is zero,
+    so the inner loop stops there.
     """
     s = [1] + [0] * len(heights)
     top = 0

@@ -134,6 +134,14 @@ class TestColumnRecurrence:
                     board, m,
                 )
 
+    def test_coefficients_are_in_the_falling_basis(self):
+        # (x + 1)(x + 2 - 1) = x^2 + 2x + 1 = ff(x, 2, 1) + 3 ff(x, 1, 1) + 1:
+        # for t != 0 the recurrence gives the ff(x, n-k, t) coefficients,
+        # not the power coefficients
+        s = _column_recurrence((1, 2), 1)
+        assert s == (1, 3, 1)
+        assert FFPoly.mfalling(tuple(reversed(s)), 1).to_power().coeffs == (1, 2, 1)
+
 
 def random_singleton_board(rng, n, m):
     """A seeded random singleton board of n columns with heights at most
