@@ -36,10 +36,11 @@ it; its tallied weights must sum to zero.  A key is a function, so the
 classes are disjoint, and they are exhaustive when the tallied count
 equals the non-rook count and ``e_k - r_k``: e_k, the number of file
 placements of k rooks, is the coefficient of ``x^(n-k)`` in
-``prod(x + h_i)``, and r_k is the m-level rook number from the
-block-weight sum.  So a class key that wrongly reads a placement as an
-m-level rook placement cannot drop its class from both sides of the
-count.
+``prod(x + h_i)``, and r_k is the m-level rook number from the column
+sweep of ``placements.rook_numbers``, which counts from the heights
+alone and never reads a class key.  So a class key that wrongly reads a
+placement as an m-level rook placement cannot drop its class from both
+sides of the count.
 """
 
 from __future__ import annotations

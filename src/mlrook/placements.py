@@ -20,15 +20,15 @@ right in one inner loop; each column's one-cell tuples are memoised the
 first time the sweep passes over the whole column, so later prefixes
 reuse them.  Streams are generated lazily.
 
-The m-level rook numbers are a block-weight sum over all file
-placements (see ``_block_sums``).  It is exact and uses none of the
-product forms: one sweep over the columns sums the weights of the
-placements that share a block-occupancy state, so it neither recurses
-nor visits each placement.  The weighted file numbers come from the
-column recurrence ``_column_recurrence`` instead, O(n^2) integer steps
-however many rook-count histograms the placements reach; the
-block-weight sum over single rows stays as the count that
+Two sweeps count placements exactly without visiting them, reading
+only the column heights and none of the product forms.  The column
+sweep of ``rook_numbers`` gives the m-level rook numbers from two
+vectors indexed by the rook count, in O(n^2) integer steps.  The row
+sweep ``_row_sweep`` gives the weighted file numbers run by run of
+equal row length, in O(n^3); it is the count that
 ``rooktheory.verify_factorizations`` checks the column product against.
+The weighted file numbers themselves come from the column recurrence
+``_column_recurrence``, the column product's own induction, in O(n^2).
 """
 
 from __future__ import annotations
@@ -282,66 +282,39 @@ def enumerate_m_level_rook_placements(
         yield placement
 
 
-def _block_sums(heights: tuple[int, ...], size: int, t: int) -> tuple[int, ...]:
+def _row_sweep(heights: tuple[int, ...], t: int) -> tuple[int, ...]:
     """``(s_0, ..., s_n)``: s_k sums, over every file placement of k rooks,
-    the product over blocks of ``size`` consecutive rows of
-    ``ff(1, rooks_in_block, t)``.
+    the product over rows of ``ff(1, rooks_in_row, t)``.
 
-    One sweep over the columns keeps a map from block-occupancy states
-    to the summed weight of the partial placements in that state.  A
-    column either stays empty or adds a rook to one of its blocks;
-    adding a rook to a block already holding c rooks multiplies the
-    weight by ``1 - c*t``, and the block's rows in the column give equal
-    branches, so the factor also carries that row count.  A zero factor
-    drops the branch.
-
-    Heights weakly increase, so every block wholly below the current
-    column top is whole in every later column too, and such blocks are
-    interchangeable.  A state is therefore ``(hist, cut)``: ``hist[i]``
-    counts the whole blocks holding i + 1 rooks, and ``cut`` is the rook
-    count of the block the column top cuts.  Its size is bounded by the
-    rooks placed, not by the height.  The sum reads only the heights,
-    never a product form, so checking a product form against it is a
-    real check.
+    One sweep over the rows, top-down, in runs of equal row length: a
+    run of R rows spans the L right-most columns, and every column used
+    so far is among them.  With u columns used, the run puts j new rooks
+    in j of the L - u free columns, and summed over their rows they
+    weigh ``R (R - t) ... (R - (j-1) t)``: a rook joining a row that
+    holds c rooks multiplies the weight by ``1 - c*t``, so the i-th rook
+    of the run, summed over the run's rows, gives ``R - t*(i-1)``.  That
+    is O(n^3) integer steps whatever the heights.  The sweep reads only
+    the heights, never the column recurrence or a product form, so the
+    column product checked against it is checked against a count.
     """
-    states = {((), 0): 1}
-    whole = 0  # blocks wholly below the previous column top
-    for h in heights:
-        top, rem = divmod(h, size)
-        if top > whole:  # the cut block, if any rook is in it, is now whole
-            merged: dict = {}
-            for (hist, cut), w in states.items():
-                key = (_shift(hist, 0, cut) if cut else hist, 0)
-                merged[key] = merged.get(key, 0) + w
-            states = merged
-            whole = top
-        grown = dict(states)  # the column stays empty
-        for (hist, cut), w in states.items():
-            branches = [(0, top - sum(hist))]  # empty whole blocks
-            branches += [(c, n) for c, n in enumerate(hist, start=1) if n]
-            for c, n in branches:
-                factor = n * (1 - c * t) * size
-                if factor:
-                    key = (_shift(hist, c, c + 1), cut)
-                    grown[key] = grown.get(key, 0) + w * factor
-            factor = (1 - cut * t) * rem
-            if factor:
-                key = (hist, cut + 1)
-                grown[key] = grown.get(key, 0) + w * factor
-        states = grown
-    sums = [0] * (len(heights) + 1)
-    for (hist, cut), w in states.items():
-        sums[sum(c * n for c, n in enumerate(hist, start=1)) + cut] += w
-    return tuple(sums)
-
-
-def _shift(hist: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
-    # move one whole block from ``old`` rooks (0: an empty block) to ``new``
-    counts = list(hist) + [0] * (new - len(hist))
-    if old:
-        counts[old - 1] -= 1
-    counts[new - 1] += 1
-    return tuple(counts)
+    n = len(heights)
+    s = [1] + [0] * n
+    for i in range(n - 1, -1, -1):
+        rows = heights[i] - (heights[i - 1] if i else 0)
+        if not rows:
+            continue
+        span = n - i  # the run's row length; rows above it used at most span - 1 columns
+        for u in range(span - 1, -1, -1):  # downwards, so s[u] is read before it grows
+            w = s[u]
+            if not w:
+                continue
+            term = 1  # C(span - u, j) * rows (rows - t) ... (rows - (j-1) t)
+            for j in range(1, span - u + 1):
+                term = term * (span - u - j + 1) * (rows - (j - 1) * t) // j
+                if not term:
+                    break
+                s[u + j] += w * term
+    return tuple(s)
 
 
 def _column_recurrence(heights: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -351,10 +324,10 @@ def _column_recurrence(heights: tuple[int, ...], t: int) -> tuple[int, ...]:
     ``s_k <- s_k + (b - t*(k-1)) * s_{k-1}``.  At t = 0 this is the power
     basis, and s_k is e_k, the number of file placements of k rooks.
 
-    On a Ferrers board this is ``_block_sums(heights, 1, t)``: the k - 1
-    rooks already placed sit in rows the new column also has, so its b
-    rows weigh ``b - t*(k-1)`` in all.  Every s_k above ``top`` is zero,
-    so the inner loop stops there.
+    On a Ferrers board this is ``_row_sweep(heights, t)``, counted by
+    columns: the k - 1 rooks already placed sit in rows the new column
+    also has, so its b rows weigh ``b - t*(k-1)`` in all.  Every s_k
+    above ``top`` is zero, so the inner loop stops there.
     """
     s = [1] + [0] * len(heights)
     top = 0
@@ -369,11 +342,35 @@ def _column_recurrence(heights: tuple[int, ...], t: int) -> tuple[int, ...]:
 def rook_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """All m-level rook numbers ``(r_0, ..., r_n)`` by exhaustive count.
 
-    ``ff(1, c, 1)`` is 1 for c <= 1 and 0 otherwise, so the block-weight
-    sum over levels of m rows counts the m-level rook placements.
+    One sweep over the columns.  Heights weakly increase, so a level
+    wholly below a column top is whole in every later column, and holds
+    at most one rook.  So ``s[k]`` counts the placements of k rooks with
+    the level cut by the column top empty, and ``c[k]`` those with one
+    rook in it.  A column of ``top`` whole levels and ``rem`` more rows
+    stays empty, or puts a rook in a free whole level (m rows each) or
+    in the cut level.  The sweep reads only the heights, never a product
+    form, so it is the independent side of every p_m check.
     """
     _check_m(m)
-    return _block_sums(board.heights, m, 1)
+    n = len(board.heights)
+    s = [1] + [0] * (n + 1)
+    c = [0] * (n + 2)
+    whole = 0  # whole levels below the previous column top
+    hi = 0  # the highest k with s[k] or c[k] non-zero
+    for h in board.heights:
+        top, rem = divmod(h, m)
+        if top > whole:  # the cut level is now whole
+            for k in range(hi + 1):
+                s[k] += c[k]
+                c[k] = 0
+            whole = top
+        for k in range(hi, -1, -1):  # downwards, so index k is read before it grows
+            free = (top - k) * m
+            s[k + 1] += s[k] * free
+            c[k + 1] += s[k] * rem + c[k] * (free + m)
+        if s[hi + 1] or c[hi + 1]:
+            hi += 1
+    return tuple(s[k] + c[k] for k in range(n + 1))
 
 
 def rook_number(board: FerrersBoard, m: int, k: int) -> int:

@@ -22,12 +22,13 @@ singleton boards the two generating polynomials coincide, which forces
 the weights of non-rook file placements to cancel (see cancellation).
 
 f_k comes from the column recurrence in ``placements``, the column
-product's own induction, in O(n^2) integer steps.  r_k comes from the
-block-weight sum ``_block_sums`` over blocks of m rows weighted by
-``ff(1, c, 1)``: it is exact, reads only the column heights, and uses
-none of the product forms it is compared against.  Its f-mode, single
-rows weighted by ``ff(1, c, m)``, is the independent side of
-``verify_factorizations``' ``file`` check.
+product's own induction, in O(n^2) integer steps.  Two sweeps in
+``placements`` count the same numbers from the column heights alone:
+``rook_numbers``' column sweep gives r_k, and ``_row_sweep`` gives f_k
+row run by row run.  Neither reads a product form or the recurrence, so
+each is a count the products are checked against, not their own
+induction: the column sweep is the independent side of every p_m check,
+and the row sweep that of ``verify_factorizations``' ``file`` check.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .boards import (
     zones,
 )
 from .ffpoly import FFPoly, RootMultiset, expand_roots
-from .placements import FilePlacement, _block_sums, _column_recurrence, rook_numbers
+from .placements import FilePlacement, _column_recurrence, _row_sweep, rook_numbers
 
 __all__ = [
     "FactorizationReport",
@@ -144,7 +145,7 @@ def _basis_sum_poly(values: Iterable[int], m: int) -> FFPoly:
 
 def m_level_rook_poly(board: FerrersBoard, m: int) -> FFPoly:
     """The polynomial ``sum_k r_k * ff(x, n-k, m)`` in the power basis,
-    with the rook numbers from the block-weight sum ``_block_sums``."""
+    with the rook numbers from the column sweep of ``rook_numbers``."""
     return _basis_sum_poly(rook_numbers(board, m), m)
 
 
@@ -205,13 +206,14 @@ def verify_factorizations(
     board: FerrersBoard, m: int, checks: Collection[str] | None = None
 ) -> FactorizationReport:
     """Compare the expanded product forms against the polynomials built
-    from the block-weight sum ``_block_sums``, which reads only the
-    column heights and none of the product forms.
+    from two sweeps that read only the column heights and none of the
+    product forms: p_m from ``rook_numbers``' column sweep, and, for the
+    ``file`` check, the weighted file numbers from the row sweep
+    ``_row_sweep``.
 
-    The ``file`` check expands f_k from ``_block_sums`` over single rows,
-    not from ``weighted_file_numbers``: the column recurrence behind that
-    is the column product's own induction, so comparing the two would
-    prove nothing.
+    The ``file`` check does not read ``weighted_file_numbers``: the
+    column recurrence behind that is the column product's own
+    induction, so comparing the two would prove nothing.
 
     ``checks`` limits which identities run (names from ``CHECK_NAMES``);
     by default all applicable ones run.  Comparisons are coefficient-wise
@@ -263,7 +265,7 @@ def verify_factorizations(
 
     file_check = None
     if "file" in requested:
-        counted = _basis_sum_poly(_block_sums(board.heights, 1, m), m)
+        counted = _basis_sum_poly(_row_sweep(board.heights, m), m)
         file_check = compare("file", counted, column)
 
     return FactorizationReport(

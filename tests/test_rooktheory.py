@@ -9,8 +9,8 @@ from mlrook.boards import AmbientSizeError, is_singleton, level_numbers, make_bo
 from mlrook.ffpoly import FFPoly, RootMultiset, expand_roots
 from mlrook.placements import (
     FilePlacement,
-    _block_sums,
     _column_recurrence,
+    _row_sweep,
     enumerate_file_placements,
     enumerate_m_level_rook_placements,
     rook_numbers,
@@ -120,8 +120,8 @@ class TestWeightedFileNumbers:
 
 class TestColumnRecurrence:
     def test_matches_counter_and_brute_force(self):
-        # the recurrence against the block-weight sum over single rows and
-        # against the weights summed from the definition
+        # the recurrence against the row sweep and against the weights
+        # summed from the definition
         for board in boards_up_to(4, 6):
             heights = board.heights
             e = _column_recurrence(heights, 0)
@@ -129,7 +129,7 @@ class TestColumnRecurrence:
             cells = [list(brute_file_cells(board, k)) for k in range(board.n + 1)]
             for m in (1, 2, 3, 4):
                 f = _column_recurrence(heights, m)
-                assert f == _block_sums(heights, 1, m), (board, m)
+                assert f == _row_sweep(heights, m), (board, m)
                 assert f == tuple(sum(brute_weight(c, m) for c in by_k) for by_k in cells), (
                     board, m,
                 )
@@ -164,6 +164,16 @@ def assert_singleton_theorem(board, m):
 
 
 class TestSingletonTheoremAtScale:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_converse_on_every_small_board(self, m):
+        # f_k = r_k for every k exactly on the singleton boards: every board
+        # of at most 5 columns inside its n levels (3,601 boards at m = 2,
+        # 17,577 at m = 3)
+        for n in range(6):
+            for board in boards_up_to(n, m * n, min_columns=n):
+                equal = weighted_file_numbers(board, m) == rook_numbers(board, m)
+                assert equal == is_singleton(board, m), (board, m)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_every_small_singleton_board(self, m):
         # every singleton board of at most 4 columns inside its n levels
@@ -296,6 +306,16 @@ class TestVerifyFactorizations:
         assert report.zone_equals_pm is True
         assert report.ok
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_tall_board(self, m):
+        # two columns of 10**9 rows: neither sweep may grow with the height;
+        # two rooks share a level in sum(rows_in_level**2) of the H*H ways
+        h = 10**9
+        board = make_board((h, h))
+        top, rem = divmod(h, m)
+        assert rook_numbers(board, m) == (1, 2 * h, h * h - top * m * m - rem * rem)
+        assert verify_factorizations(board, m, ("file",)).file_equals_br_product is True
+
     def test_requested_subset(self):
         report = verify_factorizations(make_board((1, 2)), 2, checks=("zone",))
         assert report.zone_equals_pm is True
@@ -337,13 +357,12 @@ class TestVerifyFactorizations:
     def test_miscounted_file_numbers_fail_the_file_check(self, monkeypatch):
         import mlrook.rooktheory as rt
 
-        def f1_off_by_one(heights, size, t):
-            sums = list(_block_sums(heights, size, t))
-            if size == 1:
-                sums[1] += 1
+        def f1_off_by_one(heights, t):
+            sums = list(_row_sweep(heights, t))
+            sums[1] += 1
             return tuple(sums)
 
-        monkeypatch.setattr(rt, "_block_sums", f1_off_by_one)
+        monkeypatch.setattr(rt, "_row_sweep", f1_off_by_one)
         board = make_board((1, 3, 4, 4))
         report = rt.verify_factorizations(board, 2, ("file",))
         assert report.file_equals_br_product is False
