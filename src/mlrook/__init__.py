@@ -28,7 +28,7 @@ from .cancellation import (
     reintroduction_sum,
     verify_cover,
 )
-from .ffpoly import FFPoly, RootMultiset, expand_roots
+from .ffpoly import FFPoly, expand_roots
 from .placements import (
     FilePlacement,
     InvalidPlacementError,

@@ -44,15 +44,16 @@ class AmbientSizeError(ValueError):
     """The board is too tall for the n levels of its ambient grid."""
 
 
-def _check_m(m: int) -> None:
+def _check_int(name: str, value: int, low: int | None = None) -> None:
     # bool is an int subclass, but True is not a count, height or coefficient
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"block size m must be a positive integer, got {m!r}")
-
-
-def _check_int(name: str, value: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} {value!r} is not an integer")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _check_m(m: int) -> None:
+    _check_int("block size m", m, 1)
 
 
 def _m_floor(value: int, m: int) -> int:
@@ -105,12 +106,6 @@ class FerrersBoard:
         if not 1 <= column <= self.n:
             raise ValueError(f"column {column} out of range 1..{self.n}")
         return self.heights[column - 1]
-
-    def contains(self, column: int, row: int) -> bool:
-        """True iff the cell at (column, row) lies on the board."""
-        _check_int("column", column)
-        _check_int("row", row)
-        return 1 <= column <= self.n and 1 <= row <= self.heights[column - 1]
 
     def __str__(self) -> str:
         return ",".join(str(h) for h in self.heights)

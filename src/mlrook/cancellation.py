@@ -154,8 +154,7 @@ class CancellationClass:
         if not isinstance(self.board, FerrersBoard):
             raise ValueError(f"board {self.board!r} is not a FerrersBoard")
         _check_m(self.m)
-        if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
-            raise ValueError(f"levels are 1-indexed integers, got {self.level!r}")
+        _check_int("level", self.level, 1)
         fixed = _pairs(self.fixed_cells)
         movable = tuple(self.movable_columns)
         for x in chain(*fixed, movable):  # before sorting, which may compare them
@@ -249,8 +248,7 @@ def reintroduction_sum(
     instead of cancelling.
     """
     _check_m(m)
-    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
-        raise ValueError(f"levels are 1-indexed integers, got {level!r}")
+    _check_int("level", level, 1)
     _check_int("column", column)
     if column in placement.occupied:
         raise ValueError(f"column {column} is already occupied")

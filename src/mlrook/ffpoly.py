@@ -24,7 +24,6 @@ from .boards import _check_int, _check_m
 
 __all__ = [
     "FFPoly",
-    "RootMultiset",
     "expand_roots",
 ]
 
@@ -71,10 +70,6 @@ class FFPoly:
         object.__setattr__(self, "coeffs", tuple(coeffs))
         if self.m is not None:
             _check_m(self.m)
-
-    @classmethod
-    def power(cls, coeffs: Iterable[int]) -> "FFPoly":
-        return cls(tuple(coeffs), None)
 
     @classmethod
     def mfalling(cls, coeffs: Iterable[int], m: int) -> "FFPoly":
@@ -145,35 +140,14 @@ class FFPoly:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class RootMultiset:
-    """Multiset of integer constants ``c_i`` encoding ``prod(x + c_i)``.
-
-    Stored sorted, so equal multisets compare equal regardless of the
-    order they were produced in.
-    """
-
-    constants: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        constants = tuple(self.constants)
-        for c in constants:  # before sorting, which may compare them
-            _check_int("root constant", c)
-        object.__setattr__(self, "constants", tuple(sorted(constants)))
-
-    def __iter__(self):
-        return iter(self.constants)
-
-
-def expand_roots(roots: RootMultiset | Iterable[int]) -> FFPoly:
+def expand_roots(roots: Iterable[int]) -> FFPoly:
     """Expand ``prod(x + c_i)`` into power-basis coefficients.
 
-    The empty multiset gives the constant 1.  Permuting the roots cannot
+    The empty product gives the constant 1.  Permuting the roots cannot
     change the result.
     """
-    if not isinstance(roots, RootMultiset):
-        roots = RootMultiset(tuple(roots))
     acc = [1]
-    for c in roots.constants:
+    for c in roots:
+        _check_int("root constant", c)
         acc = _mul_linear(acc, c)
     return FFPoly(tuple(acc), None)

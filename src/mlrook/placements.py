@@ -162,8 +162,7 @@ def is_m_level_rook_placement(placement: FilePlacement, m: int) -> bool:
 
 
 def _check_k(k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"rook count k must be a non-negative integer, got {k!r}")
+    _check_int("rook count k", k, 0)
 
 
 def _walk(

@@ -5,7 +5,7 @@ For an n-column Ferrers board and block size m the central object is
     p_m(B, x) = sum_k r_k * ff(x, n-k, m),
 
 the generating polynomial of the m-level rook numbers over the
-m-falling basis.  Three root multisets give product forms for it:
+m-falling basis.  Three root tuples give product forms for it:
 
 - column form ``b_i - m*(i-1)``: expands to p_m exactly on singleton
   boards (for m = 1 this is the classical column factorization, valid
@@ -38,12 +38,13 @@ from typing import Collection, Iterable, Mapping
 
 from .boards import (
     FerrersBoard,
+    _check_int,
     _check_m,
     is_singleton,
     level_numbers,
     zones,
 )
-from .ffpoly import FFPoly, RootMultiset, expand_roots
+from .ffpoly import FFPoly, expand_roots
 from .placements import FilePlacement, _column_recurrence, _row_sweep, rook_numbers
 
 __all__ = [
@@ -99,23 +100,23 @@ def weighted_file_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
     return _column_recurrence(board.heights, m)
 
 
-def gjw_roots(board: FerrersBoard) -> RootMultiset:
+def gjw_roots(board: FerrersBoard) -> tuple[int, ...]:
     """Column root constants ``b_i - (i-1)`` of the classical product form:
     the ``br`` roots at m = 1."""
     return br_roots(board, 1)
 
 
-def br_roots(board: FerrersBoard, m: int) -> RootMultiset:
+def br_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """Column root constants ``b_i - m*(i-1)``.
 
     Defined for every Ferrers board; the expansion equals p_m only on
     singleton boards, but always equals the weighted-file polynomial.
     """
     _check_m(m)
-    return RootMultiset(tuple(b - m * i for i, b in enumerate(board.heights)))
+    return tuple(sorted(b - m * i for i, b in enumerate(board.heights)))
 
 
-def zone_roots(board: FerrersBoard, m: int) -> RootMultiset:
+def zone_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """Zone root constants: per column the m-floor shifted by ``-(i-1)*m``,
     with the zone remainder added on the last column of each zone."""
     _check_m(m)
@@ -126,16 +127,16 @@ def zone_roots(board: FerrersBoard, m: int) -> RootMultiset:
             if i == zone.end:
                 c += zone.remainder
             constants.append(c)
-    return RootMultiset(tuple(constants))
+    return tuple(sorted(constants))
 
 
-def level_roots(board: FerrersBoard, m: int) -> RootMultiset:
+def level_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """Level root constants ``l_j - m*(j-1)`` from the top-down level numbers.
 
     Requires the board to fit its n ambient levels (``b_n <= m*n``).
     """
     levels = level_numbers(board, m)
-    return RootMultiset(tuple(l - m * j for j, l in enumerate(levels)))
+    return tuple(sorted(l - m * j for j, l in enumerate(levels)))
 
 
 def _basis_sum_poly(values: Iterable[int], m: int) -> FFPoly:
@@ -304,8 +305,7 @@ def census_level_numbers(
     _check_m(m)
     levels = tuple(levels)
     for l in levels:
-        if isinstance(l, bool) or not isinstance(l, int) or l < 0:
-            raise ValueError(f"level number {l!r} is not a non-negative integer")
+        _check_int("level number", l, 0)
     n = len(levels)
     found = []
     # (j, rest, cap, tops): level n-j needs rest more cells from new columns

@@ -156,7 +156,7 @@ class TestCanonicalClass:
 
     def test_bool_level_rejected(self):
         board = make_board((4, 4, 4))
-        with pytest.raises(ValueError, match="levels are 1-indexed"):
+        with pytest.raises(ValueError, match="level True is not an integer"):
             CancellationClass(board, 2, True, ((1, 1),), (2,))
 
     @pytest.mark.parametrize(
@@ -367,7 +367,11 @@ class TestReintroduction:
     @pytest.mark.parametrize("level", [True, 1.5, 0])
     def test_bad_level_rejected(self, level):
         fhat = FilePlacement(make_board((4, 4)), ((1, 1),))
-        with pytest.raises(ValueError, match="levels are 1-indexed integers"):
+        # the message names the rejected value
+        message = f"level {level!r} is not an integer"
+        if level == 0:
+            message = "level must be at least 1, got 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
             reintroduction_sum(fhat, 2, level, 2)
 
 

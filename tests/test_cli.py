@@ -234,7 +234,7 @@ class TestVerify:
         import mlrook.rooktheory as rt
         from mlrook.ffpoly import FFPoly
 
-        monkeypatch.setattr(rt, "m_level_rook_poly", lambda b, m: FFPoly.power((7,)))
+        monkeypatch.setattr(rt, "m_level_rook_poly", lambda b, m: FFPoly((7,)))
         code, out, _ = run_cli(capsys, "verify", "--board", "1,2", "--m", "2")
         assert code == 1
         data = json.loads(out)

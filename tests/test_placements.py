@@ -49,8 +49,8 @@ class TestFilePlacementValue:
             FilePlacement(make_board((1, 3)), (cell,))
 
     def test_construction_checks_each_coordinate_once(self, monkeypatch):
-        # the cell loop's own type test covers what board.contains would
-        # check again through boards._check_int
+        # the cell loop's own type test is the only check on each
+        # coordinate; none runs again through boards._check_int
         calls = []
         monkeypatch.setattr(boards, "_check_int", lambda name, value: calls.append(value))
         p = FilePlacement(SQ4, FIG_ROOK_SQ4)

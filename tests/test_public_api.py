@@ -15,7 +15,6 @@ EXPORTS = {
     "InvalidBoardError",
     "InvalidPlacementError",
     "NonSingletonBoardError",
-    "RootMultiset",
     "Zone",
     "br_roots",
     "canonical_class",

@@ -26,4 +26,4 @@ def test_quick_start_values():
         got = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
         assert (type(got), got) == (type(expected), expected), ast.unparse(node)
         checked += 1
-    assert checked == 7
+    assert checked == 8

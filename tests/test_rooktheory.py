@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlrook.boards import AmbientSizeError, is_singleton, level_numbers, make_board
-from mlrook.ffpoly import FFPoly, RootMultiset, expand_roots
+from mlrook.ffpoly import FFPoly, expand_roots
 from mlrook.placements import (
     FilePlacement,
     _column_recurrence,
@@ -193,26 +193,26 @@ class TestSingletonTheoremAtScale:
 
 class TestRoots:
     def test_gjw_example(self):
-        assert gjw_roots(make_board((1, 1, 2, 4))) == RootMultiset((1, 0, 0, 1))
+        assert gjw_roots(make_board((1, 1, 2, 4))) == (0, 0, 1, 1)
         assert expand_roots(gjw_roots(make_board((1, 1, 2, 4)))).coeffs == (0, 0, 1, 2, 1)
 
     def test_gjw_empty(self):
-        assert gjw_roots(make_board(())) == RootMultiset(())
+        assert gjw_roots(make_board(())) == ()
 
     def test_gjw_two_columns(self):
-        assert gjw_roots(make_board((1, 2))) == RootMultiset((1, 1))
+        assert gjw_roots(make_board((1, 2))) == (1, 1)
 
     def test_br_examples(self):
-        assert br_roots(make_board((1, 2)), 2) == RootMultiset((1, 0))
-        assert br_roots(make_board((1, 1, 2, 4)), 2) == RootMultiset((1, -1, -2, -2))
+        assert br_roots(make_board((1, 2)), 2) == (0, 1)
+        assert br_roots(make_board((1, 1, 2, 4)), 2) == (-2, -2, -1, 1)
 
     def test_br_m1_collapses_to_gjw(self):
         for board in boards_up_to(4, 5):
             assert br_roots(board, 1) == gjw_roots(board)
 
     def test_zone_examples(self):
-        assert zone_roots(make_board((1, 1, 2, 4)), 2) == RootMultiset((0, 0, -2, -2))
-        assert zone_roots(make_board((3, 3, 3)), 3) == RootMultiset((3, 0, -3))
+        assert zone_roots(make_board((1, 1, 2, 4)), 2) == (-2, -2, 0, 0)
+        assert zone_roots(make_board((3, 3, 3)), 3) == (-3, 0, 3)
 
     def test_zone_equals_br_on_singletons(self):
         from mlrook.boards import is_singleton
@@ -225,15 +225,30 @@ class TestRoots:
                     ), (board, m)
 
     def test_level_examples(self):
-        assert level_roots(make_board((1, 1, 2, 4)), 2) == RootMultiset((0, -2, -2, 0))
-        assert level_roots(make_board((1, 3, 4, 4, 4, 4, 4)), 2) == RootMultiset(
-            (0, -2, -4, -6, -8, 1, 1)
+        assert level_roots(make_board((1, 1, 2, 4)), 2) == (-2, -2, 0, 0)
+        assert level_roots(make_board((1, 3, 4, 4, 4, 4, 4)), 2) == (
+            -8, -6, -4, -2, 0, 1, 1
         )
-        assert level_roots(make_board(()), 4) == RootMultiset(())
+        assert level_roots(make_board(()), 4) == ()
 
     def test_level_propagates_ambient_rejection(self):
         with pytest.raises(AmbientSizeError):
             level_roots(make_board((7,)), 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sorted_int_tuples(self, m):
+        # equal multisets of roots compare equal as tuples
+        for n in range(5):
+            for board in boards_up_to(n, m * n, min_columns=n):
+                for roots in (
+                    gjw_roots(board),
+                    br_roots(board, m),
+                    zone_roots(board, m),
+                    level_roots(board, m),
+                ):
+                    assert type(roots) is tuple and len(roots) == n, (board, m)
+                    assert all(type(c) is int for c in roots), (board, m)
+                    assert list(roots) == sorted(roots), (board, m)
 
     def test_zone_and_level_same_multiset(self):
         for board in boards_up_to(4, 6):
@@ -251,13 +266,13 @@ class TestPolynomials:
         assert m_level_rook_poly(make_board((1, 1, 2, 4)), 1).coeffs == (0, 0, 1, 2, 1)
 
     def test_pm_empty_board(self):
-        assert m_level_rook_poly(make_board(()), 3) == FFPoly.power((1,))
+        assert m_level_rook_poly(make_board(()), 3) == FFPoly((1,))
 
     def test_file_poly_two_columns(self):
         assert weighted_file_poly(make_board((1, 2)), 2).coeffs == (0, 1, 1)
 
     def test_file_poly_empty(self):
-        assert weighted_file_poly(make_board(()), 2) == FFPoly.power((1,))
+        assert weighted_file_poly(make_board(()), 2) == FFPoly((1,))
 
     def test_file_poly_equals_product_on_non_singleton(self):
         board = make_board((1, 2, 2, 3))
@@ -338,7 +353,7 @@ class TestVerifyFactorizations:
         # force a bogus rook polynomial to exercise the failure plumbing
         import mlrook.rooktheory as rt
 
-        monkeypatch.setattr(rt, "m_level_rook_poly", lambda b, m: FFPoly.power((7,)))
+        monkeypatch.setattr(rt, "m_level_rook_poly", lambda b, m: FFPoly((7,)))
         report = rt.verify_factorizations(make_board((1, 2)), 2)
         assert report.zone_equals_pm is False
         assert not report.ok
