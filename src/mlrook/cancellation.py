@@ -29,18 +29,21 @@ yields them; ``CancellationClass.fixed_cells`` holds them too.
 ``verify_cover`` checks the partition in one walk over the placements,
 keeping no set of them.  Each non-rook placement is keyed and weighed
 once, checked in O(k) to be a member of the class its key names, and
-tallied under that key: one more member and its weight.  The walked
-placements are distinct, so a class whose tally reaches its size
-``m ** len(movable)`` was walked in full, each member mapping back to
-it; its tallied weights must sum to zero.  A key is a function, so the
-classes are disjoint, and they are exhaustive when the tallied count
-equals the non-rook count and ``e_k - r_k``: e_k, the number of file
-placements of k rooks, is the coefficient of ``x^(n-k)`` in
-``prod(x + h_i)``, and r_k is the m-level rook number from the column
-sweep of ``placements.rook_numbers``, which counts from the heights
-alone and never reads a class key.  So a class key that wrongly reads a
-placement as an m-level rook placement cannot drop its class from both
-sides of the count.
+tallied under that key: one more member and its weight.  The key reads
+the rooks' levels once, into one list: distinct levels mean an m-level
+rook placement, and when exactly one level holds two rooks the key is
+the cells with the second of those two sliced out, its column the one
+movable column.  The walked placements are distinct, so a class whose
+tally reaches its size ``m ** len(movable)`` was walked in full, each
+member mapping back to it; its tallied weights must sum to zero.  A key
+is a function, so the classes are disjoint, and they are exhaustive
+when the tallied count equals the non-rook count and ``e_k - r_k``:
+e_k, the number of file placements of k rooks, is the coefficient of
+``x^(n-k)`` in ``prod(x + h_i)``, and r_k is the m-level rook number
+from the column sweep of ``placements.rook_numbers``, which counts from
+the heights alone and never reads a class key.  So a class key that
+wrongly reads a placement as an m-level rook placement cannot drop its
+class from both sides of the count.
 """
 
 from __future__ import annotations
@@ -98,20 +101,36 @@ _Key = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
 def _class_key(cells: tuple[tuple[int, int], ...], m: int) -> _Key | None:
     """``(level, fixed cells, movable columns)`` of the class holding the
     placement with these column-sorted cells; None when no level holds
-    two rooks (an m-level rook placement)."""
-    counts: dict[int, int] = {}
-    for _, row in cells:
-        level = (row + m - 1) // m
-        counts[level] = counts.get(level, 0) + 1
-    conflicted = [(count, level) for level, count in counts.items() if count >= 2]
-    if not conflicted:
+    two rooks (an m-level rook placement).
+
+    The levels of the rooks are read once, into one list.  Distinct
+    levels mean an m-level rook placement.  When exactly one level holds
+    two rooks and every other level at most one, that level (the sum of
+    the list less the sum of its distinct values) is the canonical one,
+    its second rook is the only movable one, and the key is the cells
+    with that rook sliced out.  Otherwise the canonical level is the one
+    with the fewest rooks among those with two or more, ties to the
+    lowest, and one pass over the cells and their levels splits them."""
+    levels = [(row + m - 1) // m for _, row in cells]
+    distinct = set(levels)
+    surplus = len(levels) - len(distinct)  # rooks beyond one per level
+    if not surplus:
         return None
-    level = min(conflicted)[1]
+    if surplus == 1:
+        level = sum(levels) - sum(distinct)
+        j = levels.index(level, levels.index(level) + 1)
+        return level, cells[:j] + cells[j + 1 :], (cells[j][0],)
+    fewest = None  # (count, level) of the least crowded conflicted level
+    for l in distinct:
+        count = levels.count(l)
+        if count > 1 and (fewest is None or (count, l) < fewest):
+            fewest = count, l
+    level = fewest[1]
     fixed = []
     movable = []
     anchored = False
-    for cell in cells:
-        if (cell[1] + m - 1) // m != level:
+    for cell, l in zip(cells, levels):
+        if l != level:
             fixed.append(cell)
         elif anchored:
             movable.append(cell[0])
@@ -179,11 +198,9 @@ class CancellationClass:
         # board: sorted, and passing every check of ``__post_init__``
         level, fixed, movable = key
         made = object.__new__(cls)
-        object.__setattr__(made, "board", board)
-        object.__setattr__(made, "m", m)
-        object.__setattr__(made, "level", level)
-        object.__setattr__(made, "fixed_cells", fixed)
-        object.__setattr__(made, "movable_columns", movable)
+        made.__dict__.update(
+            board=board, m=m, level=level, fixed_cells=fixed, movable_columns=movable
+        )
         return made
 
     @property
@@ -380,17 +397,16 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
 def _in_class(cells: tuple[tuple[int, int], ...], key: _Key, m: int) -> bool:
     # whether the column-sorted cells are a member of the key's class: the
     # cells outside the movable columns are the fixed ones, and each movable
-    # column holds one rook, in the level's m rows
+    # column holds one rook, in the level's m rows (low < row <= low + m)
     level, fixed, movable = key
     if len(cells) != len(fixed) + len(movable):
         return False
-    swept = set(movable)
-    rows = _rows_of_level(level, m)
+    low = m * (level - 1)
     rest = []
     for cell in cells:
-        if cell[0] not in swept:
+        if cell[0] not in movable:
             rest.append(cell)
-        elif cell[1] not in rows:
+        elif not low < cell[1] <= low + m:
             return False
     return tuple(rest) == fixed
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -95,6 +96,21 @@ class TestCanonicalLevel:
         placement = FilePlacement(make_board((2, 2)), ((1, 1),))
         with pytest.raises(ValueError):
             canonical_class(placement, 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_class_key_matches_the_rule(self, m):
+        # every file placement of the small family, so every shape the key
+        # tells apart: no conflict, one doubled level (the sliced-out rook),
+        # three rooks in one level, and two doubled levels tied
+        shapes = set()
+        for board in boards_up_to(4, 6):
+            for k in range(board.n + 1):
+                for cells in brute_file_cells(board, k):
+                    key = cancellation._class_key(cells, m)
+                    assert key == brute_class_key(cells, m), (board, cells)
+                    crowded = Counter((row + m - 1) // m for _, row in cells).most_common(2)
+                    shapes.add(tuple(count for _, count in crowded))
+        assert {(1, 1), (2, 1), (3, 1), (2, 2)} <= shapes
 
 
 class TestCanonicalClass:
@@ -241,6 +257,36 @@ class TestConstructorIsThePartition:
     def test_fixed_cell_that_is_not_a_pair_rejected(self, cell):
         with pytest.raises(ValueError, match=rf"cell {re.escape(repr(cell))} is not"):
             CancellationClass(make_board((4, 4, 4)), 2, 1, [(1, 1), cell], (2,))
+
+
+class TestInClass:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_members_in_and_near_misses_out(self, m):
+        checked = 0
+        for board in singleton_boards(4, 2 * m, m):
+            keys = {
+                cancellation._class_key(cells, m)
+                for k in range(2, board.n + 1)
+                for cells in brute_file_cells(board, k)
+            } - {None}
+            for key in keys:
+                level, _, movable = key
+                for member in cancellation._members(key, m):
+                    assert cancellation._in_class(member, key, m), (key, member)
+                first = list(cancellation._first_member(key, m))
+                near_misses = [tuple(first[:-1]), tuple(first) + ((board.n + 1, 1),)]
+                for i, (col, row) in enumerate(first):
+                    if col in movable:
+                        # the rows just below and just above the level
+                        outside = (m * (level - 1), m * level + 1)
+                    else:
+                        outside = (row + 1,)
+                    for moved in outside:
+                        near_misses.append(tuple(first[:i] + [(col, moved)] + first[i + 1 :]))
+                for cells in near_misses:
+                    assert not cancellation._in_class(cells, key, m), (key, cells)
+                checked += 1
+        assert checked > 100
 
 
 class TestClassMembers:
