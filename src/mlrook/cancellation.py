@@ -26,24 +26,43 @@ are rejected loudly rather than mis-partitioned.
 Cells are plain ``(column, row)`` int tuples throughout, as the walker
 yields them; ``CancellationClass.fixed_cells`` holds them too.
 
-``verify_cover`` checks the partition in one walk over the placements,
-keeping no set of them.  Each non-rook placement is keyed and weighed
-once, checked in O(k) to be a member of the class its key names, and
-tallied under that key: one more member and its weight.  The key reads
-the rooks' levels once, into one list: distinct levels mean an m-level
-rook placement, and when exactly one level holds two rooks the key is
-the cells with the second of those two sliced out, its column the one
-movable column.  The walked placements are distinct, so a class whose
-tally reaches its size ``m ** len(movable)`` was walked in full, each
-member mapping back to it; its tallied weights must sum to zero.  A key
-is a function, so the classes are disjoint, and they are exhaustive
-when the tallied count equals the non-rook count and ``e_k - r_k``:
-e_k, the number of file placements of k rooks, is the coefficient of
+``verify_cover`` checks the partition in one walk, keeping no set of
+placements.  ``placements._prefixes`` yields each prefix of k - 1 rooks,
+and the last rook sweeps the free cells to its right a level of a
+column at a time.  Per prefix, computed once: its rooks per level and,
+as ``(count, level)``, its two least crowded conflicted levels, which
+``_keyer`` turns into the canonical level for a last rook in each level;
+its weight, by the public ``weight``; the factor ``1 - rooks_in_row*m``
+by which a last rook in each row multiplies that weight; and, built
+lazily, the split ``(level, fixed cells, movable columns)`` of each
+level a key needs.  A last rook in a level L that the prefix holds joins
+L's movable columns when ``(count + 1, L)`` beats the least crowded
+other conflicted level, or no other level is conflicted, so every row
+of L in that column shares one key.  Otherwise, and for a last rook in
+a level the prefix leaves empty, the least crowded other conflicted
+level is canonical and the last rook is its last fixed cell; with none,
+the placement is an m-level rook placement.  So each cell is keyed and
+weighed in O(1) and tallied under its key: one more member and its
+weight.
+
+``well_defined`` is still proved, with membership checked amortised.
+Each split is checked once against its prefix, in O(k): the prefix's
+cells outside the movable columns are the fixed cells, in order, and
+each movable rook lies in the level.  A movable last rook must lie in
+the key's level, checked once per level of a column; a fixed last rook
+lies right of every prefix column, so appended to a valid split it
+makes a member.  A placement that fails is a witness and is not
+tallied.  The walked placements are distinct, so a class whose tally
+reaches its size ``m ** len(movable)`` was walked in full, each member
+mapping back to it; its tallied weights must sum to zero.  A key is a
+function, so the classes are disjoint, and they are exhaustive when the
+tallied count equals the non-rook count and ``e_k - r_k``: e_k, the
+number of file placements of k rooks, is the coefficient of
 ``x^(n-k)`` in ``prod(x + h_i)``, and r_k is the m-level rook number
 from the column sweep of ``placements.rook_numbers``, which counts from
-the heights alone and never reads a class key.  So a class key that
-wrongly reads a placement as an m-level rook placement cannot drop its
-class from both sides of the count.
+the heights alone and never reads a class key.  So a keyer that wrongly
+reads a placement as an m-level rook placement cannot drop its class
+from both sides of the count.
 """
 
 from __future__ import annotations
@@ -59,6 +78,7 @@ from .placements import (
     _cells_string,
     _check_k,
     _pairs,
+    _prefixes,
     _walk,
     is_m_level_rook_placement,
     rook_number,
@@ -101,36 +121,23 @@ _Key = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
 def _class_key(cells: tuple[tuple[int, int], ...], m: int) -> _Key | None:
     """``(level, fixed cells, movable columns)`` of the class holding the
     placement with these column-sorted cells; None when no level holds
-    two rooks (an m-level rook placement).
-
-    The levels of the rooks are read once, into one list.  Distinct
-    levels mean an m-level rook placement.  When exactly one level holds
-    two rooks and every other level at most one, that level (the sum of
-    the list less the sum of its distinct values) is the canonical one,
-    its second rook is the only movable one, and the key is the cells
-    with that rook sliced out.  Otherwise the canonical level is the one
-    with the fewest rooks among those with two or more, ties to the
-    lowest, and one pass over the cells and their levels splits them."""
+    two rooks (an m-level rook placement).  The canonical level is the
+    one with the fewest rooks among those with two or more, ties to the
+    lowest, and ``_split`` splits the cells."""
     levels = [(row + m - 1) // m for _, row in cells]
-    distinct = set(levels)
-    surplus = len(levels) - len(distinct)  # rooks beyond one per level
-    if not surplus:
-        return None
-    if surplus == 1:
-        level = sum(levels) - sum(distinct)
-        j = levels.index(level, levels.index(level) + 1)
-        return level, cells[:j] + cells[j + 1 :], (cells[j][0],)
-    fewest = None  # (count, level) of the least crowded conflicted level
-    for l in distinct:
-        count = levels.count(l)
-        if count > 1 and (fewest is None or (count, l) < fewest):
-            fewest = count, l
-    level = fewest[1]
+    conflicted = [(levels.count(l), l) for l in set(levels) if levels.count(l) > 1]
+    return _split(cells, min(conflicted)[1], m) if conflicted else None
+
+
+def _split(cells: tuple[tuple[int, int], ...], level: int, m: int) -> _Key:
+    """The key ``(level, fixed, movable)`` of these column-sorted cells with
+    ``level`` canonical: the leftmost rook in the level and every rook
+    outside it fixed, the columns of the level's other rooks movable."""
     fixed = []
     movable = []
     anchored = False
-    for cell, l in zip(cells, levels):
-        if l != level:
+    for cell in cells:
+        if (cell[1] + m - 1) // m != level:
             fixed.append(cell)
         elif anchored:
             movable.append(cell[0])
@@ -138,6 +145,40 @@ def _class_key(cells: tuple[tuple[int, int], ...], m: int) -> _Key | None:
             fixed.append(cell)
             anchored = True
     return level, tuple(fixed), tuple(movable)
+
+
+def _keyer(
+    prefix: tuple[tuple[int, int], ...], m: int
+) -> tuple[dict[int, tuple[int, bool]], tuple[int, bool] | None]:
+    """``(canonical level, movable)`` of the prefix plus a last rook to its
+    right, for a last rook in each level the prefix holds, and the pair
+    for a last rook in any other level (None: an m-level rook placement).
+    ``movable`` says whether the last rook joins the level's movable
+    columns or is its split's last fixed cell.  The rule is the module
+    docstring's, read off the two least crowded conflicted levels."""
+    counts: dict[int, int] = {}
+    for _, row in prefix:
+        level = (row + m - 1) // m
+        counts[level] = counts.get(level, 0) + 1
+    conflicted = sorted((count, level) for level, count in counts.items() if count > 1)
+    best, second = (conflicted + [None, None])[:2]
+    actions = {}
+    for level, count in counts.items():
+        other = second if best is not None and best[1] == level else best
+        if other is None or (count + 1, level) < other:
+            actions[level] = level, True
+        else:
+            actions[level] = other[1], False
+    return actions, (None if best is None else (best[1], False))
+
+
+def _row_factors(prefix: tuple[tuple[int, int], ...], m: int, top: int) -> list[int]:
+    # factors[r], rows 0..top: 1 - (prefix rooks in row r)*m, what a last
+    # rook in row r multiplies the prefix weight by
+    factors = [1] * (top + 1)
+    for _, row in prefix:
+        factors[row] -= m
+    return factors
 
 
 def _members(key: _Key, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -338,35 +379,61 @@ class CoverReport:
 def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     """Partition the non-rook file placements of k rooks and check it.
 
-    One walk keys, weighs and tallies each non-rook placement once, as
-    the module docstring describes; a placement outside the class its
-    key names is a witness.  Only a failed count walks again, to name
-    one.  Requires a singleton board.
+    One walk over the prefixes of k - 1 rooks tallies each non-rook
+    placement once under its key, in O(1) per last-rook cell, as the
+    module docstring describes.  A placement outside the class its key
+    names is a witness and is not tallied: each prefix's split is checked
+    against the prefix once, and each movable last rook against the key's
+    level.  Only a failed count walks again, to name one.  Requires a
+    singleton board.
     """
     _check_m(m)
     _check_k(k)
     if not is_singleton(board, m):
         raise NonSingletonBoardError(f"board {board} is not a singleton board for m={m}")
 
+    heights = board.heights
+    n = len(heights)
     tallies: dict[_Key, list[int]] = {}  # key -> [walked members, weight sum]
     count = total = 0
     witness: str | None = None
-    for cells in _walk(board.heights, k):
-        key = _class_key(cells, m)
-        if key is None:
-            continue
-        count += 1
-        w = weight(FilePlacement._trusted(board, cells), m)
-        total += w
-        if not _in_class(cells, key, m):
-            witness = witness or _cells_string(cells)
-            continue
-        tally = tallies.get(key)
-        if tally is None:
-            tallies[key] = [1, w]
-        else:
-            tally[0] += 1
-            tally[1] += w
+    # a single rook never conflicts, so a prefix holds at least one
+    for prefix, first, _ in _prefixes(heights, k) if k > 1 else ():
+        actions, elsewhere = _keyer(prefix, m)
+        w = weight(FilePlacement._trusted(board, prefix), m)
+        factors = _row_factors(prefix, m, heights[-1])
+        splits: dict[int, tuple[_Key, bool]] = {}  # canonical level -> (split, member)
+        for c in range(first, n + 1):
+            height = heights[c - 1]
+            for low in range(0, height, m):  # one level of column c at a time
+                level = low // m + 1
+                action = actions.get(level, elsewhere)
+                if action is None:  # m-level rook placements
+                    continue
+                canonical, movable = action
+                split = splits.get(canonical)
+                if split is None:
+                    key = _split(prefix, canonical, m)
+                    split = splits[canonical] = key, _in_class(prefix, key, m)
+                (canonical, fixed, columns), member = split
+                high = min(low + m, height)
+                count += high - low
+                if not member or movable and canonical != level:
+                    total += w * sum(factors[low + 1 : high + 1])
+                    witness = witness or _cells_string(prefix + ((c, low + 1),))
+                elif movable:  # every row of the level: one key
+                    ws = w * sum(factors[low + 1 : high + 1])
+                    total += ws
+                    tally = tallies.setdefault((canonical, fixed, columns + (c,)), [0, 0])
+                    tally[0] += high - low
+                    tally[1] += ws
+                else:  # one key per row, the last rook its last fixed cell
+                    for r in range(low + 1, high + 1):
+                        wr = w * factors[r]
+                        total += wr
+                        tally = tallies.setdefault((canonical, fixed + ((c, r),), columns), [0, 0])
+                        tally[0] += 1
+                        tally[1] += wr
 
     keys = sorted(tallies)
     incomplete = {key for key in keys if tallies[key][0] != m ** len(key[2])}
@@ -394,10 +461,33 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     )
 
 
+def _keyed(
+    heights: tuple[int, ...], k: int, m: int
+) -> Iterator[tuple[tuple[tuple[int, int], ...], _Key | None]]:
+    """Every file placement of k rooks, in walk order, with the key
+    ``verify_cover`` tallies it under (None: an m-level rook placement),
+    read off its prefix by ``_keyer`` and ``_split`` as the tally reads it."""
+    for prefix, first, _ in _prefixes(heights, k):
+        actions, elsewhere = _keyer(prefix, m)
+        for c in range(first, len(heights) + 1):
+            for r in range(1, heights[c - 1] + 1):
+                cells = prefix + ((c, r),)
+                action = actions.get((r + m - 1) // m, elsewhere)
+                if action is None:
+                    yield cells, None
+                    continue
+                level, fixed, columns = _split(prefix, action[0], m)
+                if action[1]:
+                    yield cells, (level, fixed, columns + (c,))
+                else:
+                    yield cells, (level, fixed + ((c, r),), columns)
+
+
 def _in_class(cells: tuple[tuple[int, int], ...], key: _Key, m: int) -> bool:
     # whether the column-sorted cells are a member of the key's class: the
     # cells outside the movable columns are the fixed ones, and each movable
-    # column holds one rook, in the level's m rows (low < row <= low + m)
+    # column holds one rook, in the level's m rows (low < row <= low + m).
+    # verify_cover checks each prefix against its split with it
     level, fixed, movable = key
     if len(cells) != len(fixed) + len(movable):
         return False
@@ -434,8 +524,7 @@ def _first_unaccounted(
     incomplete class or whose class key disagrees with
     ``is_m_level_rook_placement``.  None when there is none, which leaves
     the walk itself at fault."""
-    for cells in _walk(board.heights, k):
-        key = _class_key(cells, m)
+    for cells, key in _keyed(board.heights, k, m):
         if key in incomplete or (key is None) != is_m_level_rook_placement(
             FilePlacement._trusted(board, cells), m
         ):

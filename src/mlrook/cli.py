@@ -23,7 +23,9 @@ from itertools import islice
 from .boards import AmbientSizeError, _parse_ints, is_singleton, level_numbers, parse_board, zones
 from .cancellation import CoverReport, verify_cover
 from .ffpoly import expand_roots
-from .placements import enumerate_file_placements, enumerate_m_level_rook_placements, rook_numbers
+from .placements import (
+    _column_recurrence, enumerate_file_placements, enumerate_m_level_rook_placements, rook_numbers,
+)
 from .rooktheory import (
     CHECK_NAMES, br_roots, census_level_numbers, gjw_roots, level_roots, m_level_equivalent,
     m_level_rook_poly, verify_factorizations, weighted_file_numbers, weighted_file_poly,
@@ -94,14 +96,17 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     board, m, k = args.board, args.m, args.k
+    # only the listed placements are walked; the count is e_k or r_k
     if args.kind == "file":
         stream = enumerate_file_placements(board, k)
+        counts = _column_recurrence(board.heights, 0)
     else:
-        stream = enumerate_m_level_rook_placements(board, m if args.kind == "mlevel" else 1, k)
+        block = m if args.kind == "mlevel" else 1
+        stream = enumerate_m_level_rook_placements(board, block, k)
+        counts = rook_numbers(board, block)
     shown = [placement.to_string() for placement in islice(stream, args.limit)]
-    count = len(shown) + sum(1 for _ in stream)
-    _emit({"board": str(board), "m": m, "k": k, "kind": args.kind, "count": count,
-           "placements": shown})
+    _emit({"board": str(board), "m": m, "k": k, "kind": args.kind,
+           "count": counts[k] if k <= board.n else 0, "placements": shown})
     return 0
 
 

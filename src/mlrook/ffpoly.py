@@ -75,18 +75,6 @@ class FFPoly:
     def mfalling(cls, coeffs: Iterable[int], m: int) -> "FFPoly":
         return cls(tuple(coeffs), m)
 
-    def eval(self, x: int) -> int:
-        """Exact evaluation at an integer point, respecting the basis."""
-        _check_int("evaluation point", x)
-        result = 0
-        if self.m is None:
-            for c in reversed(self.coeffs):
-                result = result * x + c
-        else:
-            for k in range(len(self.coeffs) - 1, -1, -1):
-                result = result * (x - k * self.m) + self.coeffs[k]
-        return result
-
     def to_power(self) -> "FFPoly":
         """Re-express in the power basis (identity if already there)."""
         if self.m is None:

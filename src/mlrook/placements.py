@@ -14,11 +14,14 @@ without re-validation.
 
 One iterative walker enumerates all of them, in ascending lexicographic
 order of their sorted (column, row) cells.  All rooks but the last form
-an odometer that keeps one (column, row) per rook instead of recursing,
-so it has no depth limit.  The last rook sweeps the free cells to their
-right in one inner loop; each column's one-cell tuples are memoised the
-first time the sweep passes over the whole column, so later prefixes
-reuse them.  Streams are generated lazily.
+an odometer, ``_prefixes``, that keeps one (column, row) per rook
+instead of recursing, so it has no depth limit; it yields each prefix
+of k - 1 rooks with the first column left free.  ``_walk`` sweeps the
+last rook over the free cells to the prefix's right in one inner loop;
+each column's one-cell tuples are memoised the first time the sweep
+passes over the whole column, so later prefixes reuse them.
+``cancellation.verify_cover`` reads the same odometer and handles each
+prefix's cells itself.  Streams are generated lazily.
 
 Two sweeps count placements exactly without visiting them, reading
 only the column heights and none of the product forms.  The column
@@ -165,41 +168,31 @@ def _check_k(k: int) -> None:
     _check_int("rook count k", k, 0)
 
 
-def _walk(
+def _prefixes(
     heights: tuple[int, ...], k: int, m: int | None = None
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield the placements of exactly k rooks, one per column, as
-    ``(column, row)`` tuples in canonical order.
+) -> Iterator[tuple[tuple[tuple[int, int], ...], int, set[int]]]:
+    """Yield ``(prefix, first, used)`` for every placement of the first
+    k - 1 of k rooks, in canonical order: the prefix's ``(column, row)``
+    cells, the first column free for the last rook, and the levels the
+    prefix holds (the m-level walk only; otherwise empty).
 
-    ``m=None`` walks file placements; an integer m also allows at most
-    one rook per level.  Rooks 0..k-2 form an odometer: rook d keeps its
-    own column and row and is advanced in place, and when it runs out of
-    columns the walk backs up to rook d - 1.  Nothing recurses.  Once
-    they are placed, the last rook sweeps every free cell to their right
-    in one inner loop, yielding the prefix plus that cell; the m-level
-    walk skips the cells whose level is used.  Each column's
-    ``((column, row),)`` one-tuples and their levels are memoised once
-    the sweep has passed over the whole column, built as it yields and
-    never ahead, so the memo holds only cells the walk has already
-    visited and ``next()`` returns at once even on a very tall column.
-    k = 1 sweeps every cell once and keeps no memo.
+    ``m=None`` places file rooks; an integer m also allows at most one
+    rook per level.  The rooks form an odometer: rook d keeps its own
+    column and row and is advanced in place, and when it runs out of
+    columns the walk backs up to rook d - 1.  Nothing recurses.  Each
+    prefix leaves at least one column free; ``used`` is updated in place,
+    so it holds for the prefix just yielded only.  Nothing is yielded for
+    k = 0 or k > n, and k = 1 yields the empty prefix once.
     """
     n = len(heights)
-    if k > n:  # before sizing the per-rook state by k
+    if not 1 <= k <= n:  # before sizing the per-rook state by k
         return
-    if k == 0:
-        yield ()
+    used: set[int] = set()
+    if k == 1:
+        yield (), 1, used
         return
-    if k == 1:  # a single rook never shares a level, and no column repeats
-        for col, height in enumerate(heights, start=1):
-            for row in range(1, height + 1):
-                yield ((col, row),)
-        return
-    ones: list = [None] * (n + 1)  # ones[c]: column c's memoised one-tuples
-    levels: list = [None] * (n + 1)  # levels[c]: their levels (m-level walk)
     # cells[d] is rook d's current (column, row); row 0 means no row tried yet
     cells = [(1, 0)] * (k - 1)
-    used: set[int] = set()  # levels holding a rook (m-level walk only)
     d = 0
     while d >= 0:
         col, row = cells[d]
@@ -226,8 +219,39 @@ def _walk(
             d += 1
             cells[d] = (col + 1, 0)
             continue
-        prefix = tuple(cells)
-        for c in range(col + 1, n + 1):
+        yield tuple(cells), col + 1, used
+
+
+def _walk(
+    heights: tuple[int, ...], k: int, m: int | None = None
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield the placements of exactly k rooks, one per column, as
+    ``(column, row)`` tuples in canonical order.
+
+    ``m=None`` walks file placements; an integer m also allows at most
+    one rook per level.  For each prefix of k - 1 rooks from
+    ``_prefixes``, the last rook sweeps every free cell to its right in
+    one inner loop, yielding the prefix plus that cell; the m-level walk
+    skips the cells whose level is used.  Each column's
+    ``((column, row),)`` one-tuples and their levels are memoised once
+    the sweep has passed over the whole column, built as it yields and
+    never ahead, so the memo holds only cells the walk has already
+    visited and ``next()`` returns at once even on a very tall column.
+    k = 1 has one prefix, so it sweeps every cell once and keeps no memo.
+    """
+    if k == 0:
+        yield ()
+        return
+    n = len(heights)
+    if k == 1:
+        for col, height in enumerate(heights, start=1):
+            for row in range(1, height + 1):
+                yield ((col, row),)
+        return
+    ones: list = [None] * (n + 1)  # ones[c]: column c's memoised one-tuples
+    levels: list = [None] * (n + 1)  # levels[c]: their levels (m-level walk)
+    for prefix, first, used in _prefixes(heights, k, m):
+        for c in range(first, n + 1):
             memo = ones[c]
             if memo is None:
                 swept = []

@@ -72,6 +72,23 @@ def m_falling_factorial(value, k, m):
     return math.prod(value - m * i for i in range(k))
 
 
+def poly_eval(poly, x):
+    """Exact value of an FFPoly at an integer point, respecting its basis:
+    Horner over the power basis, or over the nodes 0, m, 2m, ... of the
+    m-falling basis.  A bool or non-integer point is refused, so a test
+    cannot compare a float by mistake."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"evaluation point {x!r} is not an integer")
+    result = 0
+    if poly.m is None:
+        for c in reversed(poly.coeffs):
+            result = result * x + c
+    else:
+        for k in range(len(poly.coeffs) - 1, -1, -1):
+            result = result * (x - k * poly.m) + poly.coeffs[k]
+    return result
+
+
 def brute_weight(cells, m):
     """Weight of a placement given as cell tuples, from the definition."""
     row_counts = {}

@@ -26,6 +26,7 @@ from oracles import (
     brute_class_key,
     brute_cover,
     brute_file_cells,
+    file_count_formula,
     is_mlevel_cells,
 )
 
@@ -100,8 +101,8 @@ class TestCanonicalLevel:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_class_key_matches_the_rule(self, m):
         # every file placement of the small family, so every shape the key
-        # tells apart: no conflict, one doubled level (the sliced-out rook),
-        # three rooks in one level, and two doubled levels tied
+        # tells apart: no conflict, one doubled level, three rooks in one
+        # level, and two doubled levels tied
         shapes = set()
         for board in boards_up_to(4, 6):
             for k in range(board.n + 1):
@@ -111,6 +112,32 @@ class TestCanonicalLevel:
                     crowded = Counter((row + m - 1) // m for _, row in cells).most_common(2)
                     shapes.add(tuple(count for _, count in crowded))
         assert {(1, 1), (2, 1), (3, 1), (2, 2)} <= shapes
+
+    def test_prefix_keys_match_the_rule(self):
+        # the keys verify_cover tallies, read off each prefix of k - 1 rooks,
+        # on every 5-column board of heights 1..4 at m = 2: from 5 columns
+        # on two conflicted levels can hold different counts, so the last
+        # rook's level, holding more rooks than another conflicted level or
+        # fewer, both loses and wins the canonical level
+        m = 2
+        outcomes = set()
+        for board in boards_up_to(5, 4, min_columns=5):
+            if not board.heights[0]:
+                continue
+            for k in range(2, 6):
+                for cells, key in cancellation._keyed(board.heights, k, m):
+                    assert key == cancellation._class_key(cells, m), (board, cells)
+                    assert key == brute_class_key(cells, m), (board, cells)
+                    if k < 5:  # fewer rooks cannot fill two levels unequally
+                        continue
+                    levels = Counter((row + m - 1) // m for _, row in cells)
+                    last = (cells[-1][1] + m - 1) // m
+                    if levels[last] > 1 and any(
+                        level != last and 1 < count != levels[last]
+                        for level, count in levels.items()
+                    ):
+                        outcomes.add(key[0] == last)
+        assert outcomes == {True, False}
 
 
 class TestCanonicalClass:
@@ -474,41 +501,35 @@ class TestVerifyCover:
         ]
 
     def test_wrong_class_key_is_caught(self, monkeypatch):
-        real_key = cancellation._class_key
+        real_split = cancellation._split
 
-        def bottom_anchor_key(cells, m):
+        def bottom_anchor_split(cells, level, m):
             # wrong rule: the anchor rook is frozen on the bottom row of
             # its level, so placements that differ only in the anchor's
             # row share a class that cannot generate them all
-            key = real_key(cells, m)
-            if key is None:
-                return None
-            level, fixed, movable = key
+            level, fixed, movable = real_split(cells, level, m)
             bottom = m * (level - 1) + 1
             fixed = tuple(
                 (c, bottom) if (r + m - 1) // m == level else (c, r) for c, r in fixed
             )
             return level, fixed, movable
 
-        monkeypatch.setattr(cancellation, "_class_key", bottom_anchor_key)
+        monkeypatch.setattr(cancellation, "_split", bottom_anchor_split)
         report = verify_cover(make_board((2, 2)), 2, 2)
         assert not report.ok
         assert not report.disjoint_cover
         assert report.witness in ("1:2;2:1", "1:2;2:2")
 
     def test_wrong_member_sweep_is_caught(self, monkeypatch):
-        # a key whose fixed cells sit a level up names a class that holds
+        # a split whose fixed cells sit a level up names a class that holds
         # none of the placements given to it
-        real_key = cancellation._class_key
+        real_split = cancellation._split
 
-        def key_lifted_a_level(cells, m):
-            key = real_key(cells, m)
-            if key is None:
-                return None
-            level, fixed, movable = key
+        def split_lifted_a_level(cells, level, m):
+            level, fixed, movable = real_split(cells, level, m)
             return level + 1, tuple((c, r + m) for c, r in fixed), movable
 
-        monkeypatch.setattr(cancellation, "_class_key", key_lifted_a_level)
+        monkeypatch.setattr(cancellation, "_split", split_lifted_a_level)
         report = verify_cover(make_board((4, 4)), 2, 2)
         assert not report.well_defined
         assert not report.disjoint_cover
@@ -516,11 +537,12 @@ class TestVerifyCover:
         assert report.witness == "1:1;2:1"
 
     def test_broken_member_weights_are_caught(self, monkeypatch):
-        # +1 when the first rook is on row 1, else -1: the total still
-        # vanishes, the two classes do not
+        # +1 when the first rook is on row 1, else -1, and no factor for
+        # the last rook: the total still vanishes, the two classes do not
         monkeypatch.setattr(
             cancellation, "weight", lambda placement, m: 1 if placement.cells[0][1] == 1 else -1
         )
+        monkeypatch.setattr(cancellation, "_row_factors", lambda prefix, m, top: [1] * (top + 1))
         report = verify_cover(make_board((2, 2)), 2, 2)
         assert report.well_defined and report.disjoint_cover and report.total_zero
         assert not report.class_sums_zero
@@ -530,6 +552,7 @@ class TestVerifyCover:
     def test_broken_total_is_caught(self, monkeypatch):
         # one weight per placement feeds both the total and its class sum
         monkeypatch.setattr(cancellation, "weight", lambda placement, m: 1)
+        monkeypatch.setattr(cancellation, "_row_factors", lambda prefix, m, top: [1] * (top + 1))
         report = verify_cover(make_board((2, 2)), 2, 2)
         assert report.well_defined and report.disjoint_cover
         assert not report.total_zero
@@ -544,61 +567,77 @@ class TestVerifyCover:
             verify_cover(make_board((2, 2)), 2, k)
 
     def test_repeated_first_member_is_caught(self, monkeypatch):
-        # a key that lists its movable column twice claims m^2 members where
-        # the board holds m: no placement has two rooks in one column
-        real_key = cancellation._class_key
+        # a split that already lists the column right of the prefix as
+        # movable names, once the last rook there joins, a key listing that
+        # column twice: m^2 members where the board holds m, since no
+        # placement has two rooks in one column
+        real_split = cancellation._split
 
-        def key_repeating_movable(cells, m):
-            key = real_key(cells, m)
-            if key is None:
-                return None
-            level, fixed, movable = key
-            return level, fixed, movable + movable
+        def split_claiming_the_next_column(cells, level, m):
+            level, fixed, movable = real_split(cells, level, m)
+            return level, fixed, movable + (cells[-1][0] + 1,)
 
-        monkeypatch.setattr(cancellation, "_class_key", key_repeating_movable)
+        monkeypatch.setattr(cancellation, "_split", split_claiming_the_next_column)
         report = verify_cover(make_board((2, 2)), 2, 2)
         assert not report.well_defined
         assert not report.disjoint_cover
         assert report.witness == "1:1;2:1"
 
     def test_unsorted_member_is_not_credited(self, monkeypatch):
-        # a key listing the anchor level's fixed rook first: where that is
-        # not the column order, the placement is not a member of the class
-        # the key names and is not tallied
-        real_key = cancellation._class_key
+        # a split listing the anchor level's fixed rook first: where that is
+        # not the column order, the placements are not members of the class
+        # the key names and are not tallied
+        real_split = cancellation._split
 
-        def key_anchor_first(cells, m):
-            key = real_key(cells, m)
-            if key is None:
-                return None
-            level, fixed, movable = key
+        def split_anchor_first(cells, level, m):
+            level, fixed, movable = real_split(cells, level, m)
             fixed = tuple(sorted(fixed, key=lambda cell: (cell[1] + m - 1) // m != level))
             return level, fixed, movable
 
-        monkeypatch.setattr(cancellation, "_class_key", key_anchor_first)
+        monkeypatch.setattr(cancellation, "_split", split_anchor_first)
         report = verify_cover(make_board((2, 4, 4)), 2, 3)
         assert not report.well_defined
         assert not report.disjoint_cover
         assert report.witness == "1:1;2:3;3:3"
 
     def test_split_class_is_caught(self, monkeypatch):
-        # a key that reads one member of a class as an m-level rook
-        # placement leaves the class short of its m^j members
-        real_key = cancellation._class_key
+        # a keyer that reads the placements of one prefix as m-level rook
+        # placements leaves the class they share with another prefix short
+        # of its m^j members.  Keys are read a prefix at a time, so the
+        # smallest such class has two movable columns: (1, 1:1, (2, 3)) here
+        real_keyer = cancellation._keyer
 
-        def key_dropping_a_member(cells, m):
-            return None if cells == ((1, 1), (2, 2)) else real_key(cells, m)
+        def keyer_dropping_a_prefix(prefix, m):
+            return ({}, None) if prefix == ((1, 1), (2, 2)) else real_keyer(prefix, m)
 
-        monkeypatch.setattr(cancellation, "_class_key", key_dropping_a_member)
-        report = verify_cover(make_board((2, 2)), 2, 2)
+        monkeypatch.setattr(cancellation, "_keyer", keyer_dropping_a_prefix)
+        report = verify_cover(make_board((2, 2, 2)), 2, 3)
         assert not report.well_defined
         assert not report.disjoint_cover
         assert not report.class_sums_zero
-        assert report.nonrook_count == 3
-        assert report.witness == "1:1;2:1"
+        assert report.nonrook_count == 6
+        assert report.witness == "1:1;2:1;3:1"
+
+    def test_movable_rook_outside_its_level_is_caught(self, monkeypatch):
+        # a keyer that makes a last rook in an empty level a movable rook of
+        # the prefix's level names a class the placement is not in: its row
+        # lies outside the key's level
+        real_keyer = cancellation._keyer
+
+        def keyer_moving_every_rook(prefix, m):
+            actions, _ = real_keyer(prefix, m)
+            return actions, next(iter(actions.values()))
+
+        monkeypatch.setattr(cancellation, "_keyer", keyer_moving_every_rook)
+        report = verify_cover(make_board((4, 4)), 2, 2)
+        assert not report.well_defined
+        assert report.witness == "1:1;2:3"
 
     def test_each_placement_keyed_and_weighed_once(self, monkeypatch):
-        calls = {"_class_key": 0, "weight": 0}
+        # the keyer and the public weight run once per prefix of k - 1
+        # rooks, each placement's key and weight are read off its prefix,
+        # and each non-rook placement is tallied once
+        calls = {"_keyer": 0, "weight": 0}
 
         def counting(name):
             real = getattr(cancellation, name)
@@ -619,11 +658,14 @@ class TestVerifyCover:
             ((4, 4, 4, 4), 1, 3),
         ]:
             board = make_board(heights)
-            calls.update(_class_key=0, weight=0)
+            calls.update(_keyer=0, weight=0)
             report = verify_cover(board, m, k)
             assert report.ok
-            walked = sum(1 for _ in enumerate_file_placements(board, k))
-            assert calls == {"_class_key": walked, "weight": report.nonrook_count}, heights
+            # the last prefix rook leaves the last column free
+            prefixes = file_count_formula(make_board(heights[:-1]), k - 1)
+            assert calls == {"_keyer": prefixes, "weight": prefixes}, heights
+            nonrook = sum(not is_mlevel_cells(cells, m) for cells in brute_file_cells(board, k))
+            assert sum(cls.size for cls in report.classes) == report.nonrook_count == nonrook
 
     def test_classes_equal_public_construction(self):
         # the trusted builder behind verify_cover and canonical_class
@@ -658,17 +700,16 @@ class TestVerifyCover:
         assert verify_cover(WIDE_BOARD, 2, 6).ok
 
     def test_class_read_as_rook_placements_is_caught(self, monkeypatch):
-        # a class key that reads every placement of the classes fixing
-        # cell 1:1 as an m-level rook placement drops those classes from
-        # the walk's count and from the credited members alike; only the
-        # check against e_k - r_k sees them go
-        real_key = cancellation._class_key
+        # a keyer that reads every placement of the classes fixing cell 1:1
+        # as an m-level rook placement drops those classes from the walk's
+        # count and from the tallied members alike; only the check against
+        # e_k - r_k sees them go
+        real_keyer = cancellation._keyer
 
-        def key_dropping_classes(cells, m):
-            key = real_key(cells, m)
-            return None if key is not None and (1, 1) in key[1] else key
+        def keyer_dropping_classes(prefix, m):
+            return ({}, None) if (1, 1) in prefix else real_keyer(prefix, m)
 
-        monkeypatch.setattr(cancellation, "_class_key", key_dropping_classes)
+        monkeypatch.setattr(cancellation, "_keyer", keyer_dropping_classes)
         report = verify_cover(make_board((2, 2)), 2, 2)
         assert report.well_defined and report.class_sums_zero and report.total_zero
         assert report.nonrook_count == 2

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import mlrook.cli as cli
+from mlrook.boards import FerrersBoard
 from mlrook.cli import main
+from mlrook.placements import enumerate_file_placements, enumerate_m_level_rook_placements
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +118,53 @@ class TestEnumerate:
         )
         assert code == 0
         assert json.loads(out)["count"] == 0
+
+    @pytest.mark.parametrize("kind", ["file", "rook", "mlevel"])
+    def test_count_is_the_walked_count(self, capsys, kind):
+        # the count comes from e_k or r_k; walking every placement agrees,
+        # and k past the last column counts none
+        for heights in [(), (1, 2), (2, 2, 3), (1, 3, 3, 6), (0, 2, 4, 4, 5)]:
+            board = FerrersBoard(heights)
+            for m in (1, 2):
+                for k in range(board.n + 2):
+                    if kind == "file":
+                        walked = enumerate_file_placements(board, k)
+                    else:
+                        walked = enumerate_m_level_rook_placements(
+                            board, m if kind == "mlevel" else 1, k
+                        )
+                    code, out, _ = run_cli(
+                        capsys, "enumerate", "--board", str(board), "--m", str(m),
+                        "--k", str(k), "--kind", kind, "--limit", "0",
+                    )
+                    assert code == 0
+                    assert json.loads(out)["count"] == sum(1 for _ in walked), (board, m, k)
+
+    @pytest.mark.parametrize("kind", ["file", "rook", "mlevel"])
+    def test_limit_bounds_the_walk(self, capsys, monkeypatch, kind):
+        # the CLI pulls at most --limit records from the enumerator
+        pulled = []
+
+        def counting(real):
+            def wrapper(*args):
+                for placement in real(*args):
+                    pulled.append(placement)
+                    yield placement
+
+            return wrapper
+
+        for name in ("enumerate_file_placements", "enumerate_m_level_rook_placements"):
+            monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+        for limit in (0, 1, 3):
+            pulled.clear()
+            code, out, _ = run_cli(
+                capsys, "enumerate", "--board", "3,3,3,3,3,3", "--m", "1", "--k", "3",
+                "--kind", kind, "--limit", str(limit),
+            )
+            assert code == 0
+            data = json.loads(out)
+            assert len(pulled) == len(data["placements"]) == limit
+            assert data["count"] > limit
 
 
 class TestNumbers:
@@ -277,11 +327,13 @@ class TestPartition:
     def test_failed_cover_exits_1(self, capsys, monkeypatch):
         import mlrook.cancellation as cancellation
 
-        # +1 when the first rook is on row 1, else -1: the classes of k = 2
-        # sum to 2 and -2 while every total vanishes
+        # +1 when the first rook is on row 1, else -1, and no factor for the
+        # last rook: the classes of k = 2 sum to 2 and -2 while every total
+        # vanishes
         monkeypatch.setattr(
             cancellation, "weight", lambda placement, m: 1 if placement.cells[0][1] == 1 else -1
         )
+        monkeypatch.setattr(cancellation, "_row_factors", lambda prefix, m, top: [1] * (top + 1))
         code, out, _ = run_cli(capsys, "partition", "--board", "2,2", "--m", "2")
         assert code == 1
         summary = json.loads(out.splitlines()[-1])

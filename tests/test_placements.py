@@ -12,6 +12,7 @@ import mlrook.boards as boards
 from mlrook.boards import FerrersBoard, make_board
 from mlrook.placements import (
     FilePlacement,
+    _column_recurrence,
     InvalidPlacementError,
     enumerate_file_placements,
     enumerate_m_level_rook_placements,
@@ -232,6 +233,20 @@ class TestWalkSequence:
                     walked = list(enumerate_m_level_rook_placements(board, m, k))
                     assert_records(board, walked, [c for c in expected if is_mlevel_cells(c, m)])
 
+    def test_walked_counts_are_the_formula_counts(self):
+        # the counts ``mlrook enumerate`` reports without walking: e_k from
+        # the column recurrence at t = 0, r_k from the column sweep, at m = 1
+        # for the rook kind
+        for board in boards_up_to(4, 6):
+            e = _column_recurrence(board.heights, 0)
+            for m in (1, 2, 3):
+                r = rook_numbers(board, m)
+                for k in range(board.n + 1):
+                    if m == 1:
+                        assert sum(1 for _ in enumerate_file_placements(board, k)) == e[k]
+                    walked = enumerate_m_level_rook_placements(board, m, k)
+                    assert sum(1 for _ in walked) == r[k], (board, m, k)
+
     def test_streams_check_k_when_iterated(self):
         # generator functions: a bad k is reported by the first next(), not
         # by the call that makes the stream
@@ -266,6 +281,18 @@ class TestWalkSequence:
         finally:
             tracemalloc.stop()
         assert first == three[0] and len(three) == 3
+        assert peak < 64 * 1024, peak
+
+
+    def test_single_rook_sweep_keeps_no_memo(self):
+        # k = 1 has one prefix, so memoised cells would never be read again
+        board = make_board((10_000, 10_000))
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in enumerate_file_placements(board, 1)) == 20_000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < 64 * 1024, peak
 
 
