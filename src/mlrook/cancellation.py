@@ -43,7 +43,9 @@ a level the prefix leaves empty, the least crowded other conflicted
 level is canonical and the last rook is its last fixed cell; with none,
 the placement is an m-level rook placement.  So each cell is keyed and
 weighed in O(1) and tallied under its key: one more member and its
-weight.
+weight.  ``_class_key``, behind ``canonical_class`` and the other public
+names, keys one placement the same way: ``_keyer`` and ``_split``
+applied to its prefix and its last rook.
 
 ``well_defined`` is still proved, with membership checked amortised.
 Each split is checked once against its prefix, in O(k): the prefix's
@@ -121,12 +123,19 @@ _Key = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
 def _class_key(cells: tuple[tuple[int, int], ...], m: int) -> _Key | None:
     """``(level, fixed cells, movable columns)`` of the class holding the
     placement with these column-sorted cells; None when no level holds
-    two rooks (an m-level rook placement).  The canonical level is the
-    one with the fewest rooks among those with two or more, ties to the
-    lowest, and ``_split`` splits the cells."""
-    levels = [(row + m - 1) // m for _, row in cells]
-    conflicted = [(levels.count(l), l) for l in set(levels) if levels.count(l) > 1]
-    return _split(cells, min(conflicted)[1], m) if conflicted else None
+    two rooks (an m-level rook placement).  The key ``verify_cover``
+    tallies: ``_keyer`` reads the canonical level off the prefix for the
+    last rook's level, and the last rook joins the prefix's ``_split``
+    as a movable column or as its last fixed cell."""
+    if len(cells) < 2:
+        return None
+    prefix, (c, r) = cells[:-1], cells[-1]
+    actions, elsewhere = _keyer(prefix, m)
+    action = actions.get((r + m - 1) // m, elsewhere)
+    if action is None:
+        return None
+    level, fixed, columns = _split(prefix, action[0], m)
+    return (level, fixed, columns + (c,)) if action[1] else (level, fixed + ((c, r),), columns)
 
 
 def _split(cells: tuple[tuple[int, int], ...], level: int, m: int) -> _Key:
@@ -229,7 +238,7 @@ class CancellationClass:
                     " the class sweep would leave the board"
                 )
         key = (self.level, fixed, movable)
-        first = FilePlacement(self.board, _first_member(key, self.m))
+        first = FilePlacement(self.board, next(_members(key, self.m)))
         if _class_key(first.cells, self.m) != key:
             raise ValueError(f"not the canonical class of its first member {first}")
 
@@ -444,7 +453,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         witness = witness or _first_unaccounted(board, m, k, incomplete)
     nonzero = [key for key in keys if tallies[key][1]]
     if nonzero:
-        witness = witness or _cells_string(_first_member(nonzero[0], m))
+        witness = witness or _cells_string(next(_members(nonzero[0], m)))
     return CoverReport(
         board=board,
         m=m,
@@ -459,28 +468,6 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         total_weight=total,
         witness=witness,
     )
-
-
-def _keyed(
-    heights: tuple[int, ...], k: int, m: int
-) -> Iterator[tuple[tuple[tuple[int, int], ...], _Key | None]]:
-    """Every file placement of k rooks, in walk order, with the key
-    ``verify_cover`` tallies it under (None: an m-level rook placement),
-    read off its prefix by ``_keyer`` and ``_split`` as the tally reads it."""
-    for prefix, first, _ in _prefixes(heights, k):
-        actions, elsewhere = _keyer(prefix, m)
-        for c in range(first, len(heights) + 1):
-            for r in range(1, heights[c - 1] + 1):
-                cells = prefix + ((c, r),)
-                action = actions.get((r + m - 1) // m, elsewhere)
-                if action is None:
-                    yield cells, None
-                    continue
-                level, fixed, columns = _split(prefix, action[0], m)
-                if action[1]:
-                    yield cells, (level, fixed, columns + (c,))
-                else:
-                    yield cells, (level, fixed + ((c, r),), columns)
 
 
 def _in_class(cells: tuple[tuple[int, int], ...], key: _Key, m: int) -> bool:
@@ -510,21 +497,15 @@ def _nonrook_total(board: FerrersBoard, m: int, k: int) -> int:
     return expand_roots(board.heights).coeffs[n - k] - rook_number(board, m, k)
 
 
-def _first_member(key: _Key, m: int) -> tuple[tuple[int, int], ...]:
-    # every movable rook on the anchor level's bottom row, read off the key
-    level, fixed, movable = key
-    bottom = m * (level - 1) + 1
-    return tuple(sorted(fixed + tuple((col, bottom) for col in movable)))
-
-
 def _first_unaccounted(
     board: FerrersBoard, m: int, k: int, incomplete: Collection[_Key]
 ) -> str | None:
     """Failure path: the first walked placement that is a member of an
-    incomplete class or whose class key disagrees with
-    ``is_m_level_rook_placement``.  None when there is none, which leaves
-    the walk itself at fault."""
-    for cells, key in _keyed(board.heights, k, m):
+    incomplete class or whose ``_class_key``, the key the tally reads off
+    its prefix, disagrees with ``is_m_level_rook_placement``.  None when
+    there is none, which leaves the walk itself at fault."""
+    for cells in _walk(board.heights, k):
+        key = _class_key(cells, m)
         if key in incomplete or (key is None) != is_m_level_rook_placement(
             FilePlacement._trusted(board, cells), m
         ):

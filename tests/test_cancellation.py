@@ -19,7 +19,7 @@ from mlrook.cancellation import (
     reintroduction_sum,
     verify_cover,
 )
-from mlrook.placements import FilePlacement, enumerate_file_placements
+from mlrook.placements import FilePlacement, _walk, enumerate_file_placements
 from mlrook.rooktheory import weight
 from oracles import (
     boards_up_to,
@@ -35,8 +35,8 @@ WIDE_BOARD = make_board((1, 3, 4, 4, 4, 4, 4))
 F0 = FilePlacement(WIDE_BOARD, ((2, 3), (3, 2), (4, 1), (5, 4), (6, 1), (7, 3)))
 
 
-def singleton_boards(max_n, max_h, m):
-    for board in boards_up_to(max_n, max_h):
+def singleton_boards(max_n, max_h, m, min_columns=0):
+    for board in boards_up_to(max_n, max_h, min_columns):
         if is_singleton(board, m):
             yield board
 
@@ -114,19 +114,20 @@ class TestCanonicalLevel:
         assert {(1, 1), (2, 1), (3, 1), (2, 2)} <= shapes
 
     def test_prefix_keys_match_the_rule(self):
-        # the keys verify_cover tallies, read off each prefix of k - 1 rooks,
-        # on every 5-column board of heights 1..4 at m = 2: from 5 columns
-        # on two conflicted levels can hold different counts, so the last
-        # rook's level, holding more rooks than another conflicted level or
-        # fewer, both loses and wins the canonical level
+        # the key verify_cover tallies, read off the prefix of k - 1 rooks
+        # of each walked placement, on every 5-column board of heights 1..4
+        # at m = 2: from 5 columns on two conflicted levels can hold
+        # different counts, so the last rook's level, holding more rooks
+        # than another conflicted level or fewer, both loses and wins the
+        # canonical level
         m = 2
         outcomes = set()
         for board in boards_up_to(5, 4, min_columns=5):
             if not board.heights[0]:
                 continue
             for k in range(2, 6):
-                for cells, key in cancellation._keyed(board.heights, k, m):
-                    assert key == cancellation._class_key(cells, m), (board, cells)
+                for cells in _walk(board.heights, k):
+                    key = cancellation._class_key(cells, m)
                     assert key == brute_class_key(cells, m), (board, cells)
                     if k < 5:  # fewer rooks cannot fill two levels unequally
                         continue
@@ -138,6 +139,22 @@ class TestCanonicalLevel:
                     ):
                         outcomes.add(key[0] == last)
         assert outcomes == {True, False}
+
+    def test_public_key_reads_the_keyer(self, monkeypatch):
+        # canonical_class and nonrook_file_placements key a placement by the
+        # rule the tally reads, so a keyer that reads every placement of the
+        # classes fixing cell 1:1 as an m-level rook placement reaches them
+        real_keyer = cancellation._keyer
+
+        def keyer_dropping_classes(prefix, m):
+            return ({}, None) if (1, 1) in prefix else real_keyer(prefix, m)
+
+        monkeypatch.setattr(cancellation, "_keyer", keyer_dropping_classes)
+        board = make_board((2, 2))
+        with pytest.raises(ValueError, match="m-level rook placement"):
+            canonical_class(FilePlacement(board, ((1, 1), (2, 1))), 2)
+        walked = [p.to_string() for p in nonrook_file_placements(board, 2, 2)]
+        assert "1:1;2:1" not in walked
 
 
 class TestCanonicalClass:
@@ -300,7 +317,7 @@ class TestInClass:
                 level, _, movable = key
                 for member in cancellation._members(key, m):
                     assert cancellation._in_class(member, key, m), (key, member)
-                first = list(cancellation._first_member(key, m))
+                first = list(next(cancellation._members(key, m)))
                 near_misses = [tuple(first[:-1]), tuple(first) + ((board.n + 1, 1),)]
                 for i, (col, row) in enumerate(first):
                     if col in movable:
@@ -637,7 +654,7 @@ class TestVerifyCover:
         # the keyer and the public weight run once per prefix of k - 1
         # rooks, each placement's key and weight are read off its prefix,
         # and each non-rook placement is tallied once
-        calls = {"_keyer": 0, "weight": 0}
+        calls = {"_keyer": 0, "weight": 0, "_class_key": 0}
 
         def counting(name):
             real = getattr(cancellation, name)
@@ -658,20 +675,24 @@ class TestVerifyCover:
             ((4, 4, 4, 4), 1, 3),
         ]:
             board = make_board(heights)
-            calls.update(_keyer=0, weight=0)
+            calls.update(_keyer=0, weight=0, _class_key=0)
             report = verify_cover(board, m, k)
             assert report.ok
             # the last prefix rook leaves the last column free
             prefixes = file_count_formula(make_board(heights[:-1]), k - 1)
-            assert calls == {"_keyer": prefixes, "weight": prefixes}, heights
+            # the per-placement key stays off the tally's path
+            assert calls == {"_keyer": prefixes, "weight": prefixes, "_class_key": 0}, heights
             nonrook = sum(not is_mlevel_cells(cells, m) for cells in brute_file_cells(board, k))
             assert sum(cls.size for cls in report.classes) == report.nonrook_count == nonrook
 
     def test_classes_equal_public_construction(self):
         # the trusted builder behind verify_cover and canonical_class
-        # stores what the validating constructor accepts and stores
-        for m in (2, 3):
-            for board in singleton_boards(4, 2 * m, m):
+        # stores what the validating constructor accepts and stores; from 5
+        # columns on two conflicted levels can hold different counts
+        families = [(m, singleton_boards(4, 2 * m, m)) for m in (2, 3)]
+        families.append((2, singleton_boards(5, 4, 2, min_columns=5)))
+        for m, boards in families:
+            for board in boards:
                 for k in range(board.n + 1):
                     classes = list(verify_cover(board, m, k).classes)
                     classes += [
