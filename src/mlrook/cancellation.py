@@ -24,7 +24,8 @@ cells, which the singleton condition guarantees; non-singleton boards
 are rejected loudly rather than mis-partitioned.
 
 Cells are plain ``(column, row)`` int tuples throughout, as the walker
-yields them; ``CancellationClass.fixed_cells`` holds them too.
+yields them; ``CancellationClass.fixed_cells`` holds them too.  A class
+is checked through its first member, built in closed form whatever m.
 
 ``verify_cover`` checks the partition in one walk, keeping no set of
 placements.  ``placements._prefixes`` yields each prefix of k - 1 rooks,
@@ -70,8 +71,8 @@ from both sides of the count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
-from typing import Collection, Iterator
+from itertools import product
+from typing import Collection, Iterable, Iterator
 
 from .boards import FerrersBoard, _check_int, _check_m, _rows_of_level, is_singleton
 from .ffpoly import expand_roots
@@ -79,7 +80,6 @@ from .placements import (
     FilePlacement,
     _cells_string,
     _check_k,
-    _pairs,
     _prefixes,
     _walk,
     is_m_level_rook_placement,
@@ -190,13 +190,10 @@ def _row_factors(prefix: tuple[tuple[int, int], ...], m: int, top: int) -> list[
     return factors
 
 
-def _members(key: _Key, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Column-sorted cells of every class member, in odometer order: the
-    leftmost movable column's row varies fastest, rows ascending within
-    the anchor level."""
-    level, fixed, movable = key
-    for swept in product(_rows_of_level(level, m), repeat=len(movable)):
-        yield tuple(sorted(fixed + tuple(zip(movable, reversed(swept)))))
+def _first_cells(level: int, fixed: Iterable, movable: tuple[int, ...], m: int) -> tuple:
+    # the first member's cells, unsorted: every movable rook on the level's bottom row
+    row = _rows_of_level(level, m).start
+    return (*fixed, *((col, row) for col in movable))
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ class CancellationClass:
     its rows.  The class contains ``m ** len(movable_columns)`` members.
     A class is the canonical class of its first member, the one with
     every movable rook on the level's bottom row, and the constructor
-    accepts exactly such triples.
+    accepts exactly such triples; it builds that member in closed form.
     """
 
     board: FerrersBoard
@@ -220,15 +217,13 @@ class CancellationClass:
     movable_columns: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.board, FerrersBoard):
-            raise ValueError(f"board {self.board!r} is not a FerrersBoard")
         _check_m(self.m)
         _check_int("level", self.level, 1)
-        fixed = _pairs(self.fixed_cells)
         movable = tuple(self.movable_columns)
-        for x in chain(*fixed, movable):  # before sorting, which may compare them
-            _check_int("cell coordinate or movable column", x)
-        fixed, movable = tuple(sorted(fixed)), tuple(sorted(movable))
+        cells = _first_cells(self.level, self.fixed_cells, movable, self.m)
+        first = FilePlacement(self.board, cells)  # checks the board and cells, and sorts them
+        movable = tuple(sorted(movable))
+        fixed = tuple(cell for cell in first.cells if cell[0] not in movable)
         object.__setattr__(self, "fixed_cells", fixed)
         object.__setattr__(self, "movable_columns", movable)
         for col in movable:
@@ -238,7 +233,6 @@ class CancellationClass:
                     " the class sweep would leave the board"
                 )
         key = (self.level, fixed, movable)
-        first = FilePlacement(self.board, next(_members(key, self.m)))
         if _class_key(first.cells, self.m) != key:
             raise ValueError(f"not the canonical class of its first member {first}")
 
@@ -296,9 +290,10 @@ def class_members(cls: CancellationClass) -> tuple[FilePlacement, ...]:
     The leftmost movable column's row varies fastest, rows ascending
     within the anchor level.
     """
-    key = (cls.level, cls.fixed_cells, cls.movable_columns)
+    fixed, movable = cls.fixed_cells, cls.movable_columns
     return tuple(
-        FilePlacement._trusted(cls.board, cells) for cells in _members(key, cls.m)
+        FilePlacement._trusted(cls.board, tuple(sorted(fixed + tuple(zip(movable, swept[::-1])))))
+        for swept in product(_rows_of_level(cls.level, cls.m), repeat=len(movable))
     )
 
 
@@ -406,9 +401,11 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     tallies: dict[_Key, list[int]] = {}  # key -> [walked members, weight sum]
     count = total = 0
     witness: str | None = None
-    # a single rook never conflicts, so a prefix holds at least one
-    for prefix, first, _ in _prefixes(heights, k) if k > 1 else ():
+    # a single rook never conflicts; _prefixes yields nothing for k < 2
+    for prefix, first, _ in _prefixes(heights, k):
         actions, elsewhere = _keyer(prefix, m)
+        # the public weight, not _row_weight: a traced cover run must reach
+        # rooktheory (perfbench's test_traced_run_accounts_for_every_layer)
         w = weight(FilePlacement._trusted(board, prefix), m)
         factors = _row_factors(prefix, m, heights[-1])
         splits: dict[int, tuple[_Key, bool]] = {}  # canonical level -> (split, member)
@@ -453,7 +450,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         witness = witness or _first_unaccounted(board, m, k, incomplete)
     nonzero = [key for key in keys if tallies[key][1]]
     if nonzero:
-        witness = witness or _cells_string(next(_members(nonzero[0], m)))
+        witness = witness or _cells_string(sorted(_first_cells(*nonzero[0], m)))
     return CoverReport(
         board=board,
         m=m,
@@ -494,6 +491,8 @@ def _nonrook_total(board: FerrersBoard, m: int, k: int) -> int:
     n = board.n
     if k > n:
         return 0
+    # the public expand_roots, not _column_recurrence: a traced cover run
+    # must reach ffpoly (perfbench's test_traced_run_accounts_for_every_layer)
     return expand_roots(board.heights).coeffs[n - k] - rook_number(board, m, k)
 
 

@@ -20,7 +20,9 @@ import json
 import sys
 from itertools import islice
 
-from .boards import AmbientSizeError, _parse_ints, is_singleton, level_numbers, parse_board, zones
+from .boards import (
+    AmbientSizeError, _check_int, _parse_ints, is_singleton, level_numbers, parse_board, zones,
+)
 from .cancellation import CoverReport, verify_cover
 from .ffpoly import expand_roots
 from .placements import (
@@ -44,8 +46,7 @@ def _int(text: str, name: str, low: int) -> int:
         value = int(text)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
+    _check_int(name, value, low)
     return value
 
 

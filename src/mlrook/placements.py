@@ -36,8 +36,8 @@ The weighted file numbers themselves come from the column recurrence
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from .boards import FerrersBoard, _check_int, _check_m
 
@@ -56,7 +56,7 @@ class InvalidPlacementError(ValueError):
     """A placement repeats a column or leaves the board."""
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class FilePlacement:
     """Rooks on a Ferrers board, at most one per column.
 
@@ -66,17 +66,22 @@ class FilePlacement:
     carried for validation.  The record has slots and no ``__dict__``.
     """
 
-    board: FerrersBoard
+    board: FerrersBoard = field(compare=False)
     cells: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.board, FerrersBoard):
             raise ValueError(f"board {self.board!r} is not a FerrersBoard")
-        cells = _pairs(self.cells)
-        for col, row in cells:  # before sorting, which may compare them
+        pairs = []
+        for cell in self.cells:  # before sorting, which may compare them
+            try:
+                col, row = cell
+            except (TypeError, ValueError):
+                raise InvalidPlacementError(f"cell {cell!r} is not a (column, row) pair") from None
             if any(isinstance(x, bool) or not isinstance(x, int) for x in (col, row)):
                 raise InvalidPlacementError(f"cell {col!r}:{row!r} is not a pair of integers")
-        cells = tuple(sorted(cells))
+            pairs.append((col, row))
+        cells = tuple(sorted(pairs))
         _set_cells(self, cells)
         heights = self.board.heights
         prev_col = None  # not 0, which would read a column-0 cell as a repeat
@@ -95,17 +100,6 @@ class FilePlacement:
         _set_board(placement, board)
         _set_cells(placement, cells)
         return placement
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FilePlacement):
-            return NotImplemented
-        return self.cells == other.cells
-
-    def __hash__(self) -> int:
-        return hash(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
     @property
     def occupied(self) -> dict[int, int]:
@@ -143,18 +137,6 @@ _set_board = FilePlacement.board.__set__
 _set_cells = FilePlacement.cells.__set__
 
 
-def _pairs(cells: Iterable) -> tuple[tuple, ...]:
-    # the given cells as (column, row) tuples; a cell that is not a pair is named
-    pairs = []
-    for cell in cells:
-        try:
-            col, row = cell
-        except (TypeError, ValueError):
-            raise InvalidPlacementError(f"cell {cell!r} is not a (column, row) pair") from None
-        pairs.append((col, row))
-    return tuple(pairs)
-
-
 def _cells_string(cells: tuple[tuple[int, int], ...]) -> str:
     return ";".join(f"{col}:{row}" for col, row in cells)
 
@@ -182,15 +164,12 @@ def _prefixes(
     columns the walk backs up to rook d - 1.  Nothing recurses.  Each
     prefix leaves at least one column free; ``used`` is updated in place,
     so it holds for the prefix just yielded only.  Nothing is yielded for
-    k = 0 or k > n, and k = 1 yields the empty prefix once.
+    k < 2 or k > n: ``_walk`` places a single rook itself.
     """
     n = len(heights)
-    if not 1 <= k <= n:  # before sizing the per-rook state by k
+    if not 2 <= k <= n:  # before sizing the per-rook state by k
         return
     used: set[int] = set()
-    if k == 1:
-        yield (), 1, used
-        return
     # cells[d] is rook d's current (column, row); row 0 means no row tried yet
     cells = [(1, 0)] * (k - 1)
     d = 0
@@ -237,7 +216,7 @@ def _walk(
     the sweep has passed over the whole column, built as it yields and
     never ahead, so the memo holds only cells the walk has already
     visited and ``next()`` returns at once even on a very tall column.
-    k = 1 has one prefix, so it sweeps every cell once and keeps no memo.
+    ``_prefixes`` yields nothing for k = 1, so the walk sweeps each cell once.
     """
     if k == 0:
         yield ()

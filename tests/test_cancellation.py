@@ -232,8 +232,21 @@ class TestCanonicalClass:
     )
     def test_non_integer_cell_or_column_rejected(self, fixed, movable):
         board = make_board((4, 4, 4))
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError, match="not a pair of integers"):
             CancellationClass(board, 2, 1, fixed, movable)
+
+    def test_constructor_memory_does_not_grow_with_m(self):
+        # the first member is built in closed form, not read off the member
+        # sweep, whose rows of the level would take tens of MB at this m
+        board = make_board((10**6,) * 3)
+        tracemalloc.start()
+        try:
+            cls = CancellationClass(board, 10**6, 1, ((1, 1),), (2,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cls.size == 10**6
+        assert peak < 64 * 1024, peak
 
 
 def class_triples(board, m):
@@ -315,9 +328,10 @@ class TestInClass:
             } - {None}
             for key in keys:
                 level, _, movable = key
-                for member in cancellation._members(key, m):
-                    assert cancellation._in_class(member, key, m), (key, member)
-                first = list(next(cancellation._members(key, m)))
+                members = class_members(CancellationClass._trusted(board, m, key))
+                for member in members:
+                    assert cancellation._in_class(member.cells, key, m), (key, member)
+                first = list(members[0].cells)
                 near_misses = [tuple(first[:-1]), tuple(first) + ((board.n + 1, 1),)]
                 for i, (col, row) in enumerate(first):
                     if col in movable:

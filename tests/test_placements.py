@@ -67,6 +67,9 @@ class TestFilePlacementValue:
         b = FilePlacement(make_board((1, 1)), ((1, 1),))
         assert a == b
         assert hash(a) == hash(b)
+        # a placement is not its cells tuple
+        assert a != a.cells
+        assert FilePlacement.__eq__(a, a.cells) is NotImplemented
 
     def test_occupied_and_counts(self):
         p = FilePlacement(SQ4, FIG_ROOK_SQ4)
@@ -87,7 +90,7 @@ class TestFilePlacementValue:
     def test_with_and_without_rook(self):
         p = FilePlacement(make_board((1, 2)), ((1, 1),))
         q = FilePlacement(make_board((1, 2)), ((1, 1), (2, 2)))
-        assert len(q) == 2
+        assert len(q.cells) == 2
         assert q.without_column(2) == p
         with pytest.raises(ValueError):
             p.without_column(2)
