@@ -5,52 +5,14 @@ falling-factorial polynomial machinery, the product-form factorization
 identities, and the cancellation partition that explains why non-rook
 weights sum to zero on singleton boards.  Everything is exact integer
 arithmetic; all values are immutable and all operations pure.
+
+The package exports exactly the names in each module's ``__all__``.
 """
 
-from .boards import (
-    AmbientSizeError,
-    FerrersBoard,
-    InvalidBoardError,
-    Zone,
-    is_singleton,
-    level_numbers,
-    make_board,
-    parse_board,
-    zones,
-)
-from .cancellation import (
-    CancellationClass,
-    CoverReport,
-    NonSingletonBoardError,
-    canonical_class,
-    class_members,
-    nonrook_file_placements,
-    reintroduction_sum,
-    verify_cover,
-)
-from .ffpoly import FFPoly, expand_roots
-from .placements import (
-    FilePlacement,
-    InvalidPlacementError,
-    enumerate_file_placements,
-    enumerate_m_level_rook_placements,
-    is_m_level_rook_placement,
-    rook_number,
-    rook_numbers,
-)
-from .rooktheory import (
-    FactorizationReport,
-    br_roots,
-    census_level_numbers,
-    gjw_roots,
-    level_roots,
-    m_level_equivalent,
-    m_level_rook_poly,
-    verify_factorizations,
-    weight,
-    weighted_file_numbers,
-    weighted_file_poly,
-    zone_roots,
-)
+from .boards import *
+from .cancellation import *
+from .ffpoly import *
+from .placements import *
+from .rooktheory import *
 
 __version__ = "0.1.0"

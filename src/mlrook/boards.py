@@ -176,6 +176,11 @@ def zones(board: FerrersBoard, m: int) -> tuple[Zone, ...]:
     return tuple(out)
 
 
+def _fits_levels(board: FerrersBoard, m: int) -> bool:
+    # the board fits its n ambient levels: b_n <= m*n
+    return board.n == 0 or board.heights[-1] <= m * board.n
+
+
 def level_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """Cell counts per level, reported from the top of the n-level grid.
 
@@ -186,7 +191,7 @@ def level_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """
     _check_m(m)
     n = board.n
-    if n and board.heights[-1] > m * n:
+    if not _fits_levels(board, m):
         raise AmbientSizeError(
             f"board height {board.heights[-1]} exceeds the {n}-level grid of {m * n} rows"
         )

@@ -23,7 +23,7 @@ from itertools import islice
 from .boards import (
     AmbientSizeError, _check_int, _parse_ints, is_singleton, level_numbers, parse_board, zones,
 )
-from .cancellation import CoverReport, verify_cover
+from .cancellation import verify_cover
 from .ffpoly import expand_roots
 from .placements import (
     _column_recurrence, enumerate_file_placements, enumerate_m_level_rook_placements, rook_numbers,
@@ -147,24 +147,16 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     for report in reports:
         for class_dict in report.class_json_dicts():
             _emit(class_dict)
-    witnesses = [r.witness for r in reports if r.witness is not None]
-    # one report over every k covered; k is null when all counts ran
-    summary = CoverReport(
-        board=board,
-        m=m,
-        k=k,
-        nonrook_count=sum(r.nonrook_count for r in reports),
-        classes=tuple(c for r in reports for c in r.classes),
-        class_sums=tuple(s for r in reports for s in r.class_sums),
-        well_defined=all(r.well_defined for r in reports),
-        disjoint_cover=all(r.disjoint_cover for r in reports),
-        class_sums_zero=all(r.class_sums_zero for r in reports),
-        total_zero=all(r.total_zero for r in reports),
-        total_weight=sum(r.total_weight for r in reports),
-        witness=witnesses[0] if witnesses else None,
-    )
-    _emit(summary.summary_json_dict())
-    return 0 if summary.ok else 1
+    # one summary merged over every k covered; k is null when all counts ran
+    summaries = [r.summary_json_dict() for r in reports]
+    summary = {**summaries[0], "k": k}
+    for name in ("nonrook_placements", "num_classes", "total_weight"):
+        summary[name] = sum(s[name] for s in summaries)
+    for name in ("well_defined", "disjoint_cover", "class_sums_zero", "total_zero", "ok"):
+        summary[name] = all(s[name] for s in summaries)
+    summary["witness"] = next((s["witness"] for s in summaries if s["witness"] is not None), None)
+    _emit(summary)
+    return 0 if summary["ok"] else 1
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:

@@ -40,6 +40,7 @@ from .boards import (
     FerrersBoard,
     _check_int,
     _check_m,
+    _fits_levels,
     is_singleton,
     level_numbers,
     zones,
@@ -162,10 +163,9 @@ class FactorizationReport:
     """Outcome of the product-form identity checks for one (board, m).
 
     Each field is True/False when the check ran and None when it was not
-    applicable (or not requested): ``gjw`` runs only for m = 1 and
-    ``br_equals_pm`` only on singleton boards; ``level_equals_pm`` needs
-    the board to fit its n ambient levels.  ``details`` holds both
-    power-basis coefficient vectors for every failed check.
+    requested or lies outside its domain (see ``verify_factorizations``).
+    ``details`` holds both power-basis coefficient vectors for every
+    failed check.
     """
 
     board: FerrersBoard
@@ -217,8 +217,10 @@ def verify_factorizations(
     induction, so comparing the two would prove nothing.
 
     ``checks`` limits which identities run (names from ``CHECK_NAMES``);
-    by default all applicable ones run.  Comparisons are coefficient-wise
-    on fully expanded power-basis polynomials.
+    by default all applicable ones run.  A check outside its domain
+    (``gjw`` at m != 1, ``br`` off singleton boards, ``level`` on boards
+    taller than m*n) is None and builds nothing.  Comparisons are
+    coefficient-wise on fully expanded power-basis polynomials.
     """
     _check_m(m)
     if isinstance(checks, str):  # a str is a collection of one-letter names
@@ -238,45 +240,30 @@ def verify_factorizations(
         details[name] = {"lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs)}
         return False
 
-    pm: FFPoly | None = None
-    if requested.intersection(("gjw", "br", "zone", "level")):
-        pm = m_level_rook_poly(board, m)
-
+    # where each identity holds; a requested check outside it stays None
+    domain = {"gjw": m == 1, "br": is_singleton(board, m), "zone": True,
+              "level": _fits_levels(board, m), "file": True}
+    run = {name for name in requested if domain[name]}
+    pm = m_level_rook_poly(board, m) if run & {"gjw", "br", "zone", "level"} else None
     # the column product, expanded once: gjw_roots(board) is br_roots(board, 1)
-    singleton = is_singleton(board, m)
-    column: FFPoly | None = None
-    if "file" in requested or ("br" in requested and singleton) or ("gjw" in requested and m == 1):
-        column = expand_roots(br_roots(board, m))
-
-    gjw = None
-    if "gjw" in requested and m == 1:
-        gjw = compare("gjw", column, pm)
-
-    br = None
-    if "br" in requested and singleton:
-        br = compare("br_equals_pm", column, pm)
-
-    zone = None
-    if "zone" in requested:
-        zone = compare("zone", expand_roots(zone_roots(board, m)), pm)
-
-    level = None
-    if "level" in requested and (board.n == 0 or board.heights[-1] <= m * board.n):
-        level = compare("level", expand_roots(level_roots(board, m)), pm)
-
-    file_check = None
-    if "file" in requested:
-        counted = _basis_sum_poly(_row_sweep(board.heights, m), m)
-        file_check = compare("file", counted, column)
+    column = expand_roots(br_roots(board, m)) if run & {"gjw", "br", "file"} else None
 
     return FactorizationReport(
         board=board,
         m=m,
-        gjw=gjw,
-        br_equals_pm=br,
-        zone_equals_pm=zone,
-        level_equals_pm=level,
-        file_equals_br_product=file_check,
+        gjw=compare("gjw", column, pm) if "gjw" in run else None,
+        br_equals_pm=compare("br_equals_pm", column, pm) if "br" in run else None,
+        zone_equals_pm=(
+            compare("zone", expand_roots(zone_roots(board, m)), pm) if "zone" in run else None
+        ),
+        level_equals_pm=(
+            compare("level", expand_roots(level_roots(board, m)), pm) if "level" in run else None
+        ),
+        file_equals_br_product=(
+            compare("file", _basis_sum_poly(_row_sweep(board.heights, m), m), column)
+            if "file" in run
+            else None
+        ),
         details=details,
     )
 

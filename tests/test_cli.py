@@ -1,9 +1,11 @@
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 
 import mlrook.cli as cli
-from mlrook.boards import FerrersBoard
+from mlrook.boards import FerrersBoard, is_singleton
+from mlrook.cancellation import verify_cover
 from mlrook.cli import main
 from mlrook.placements import enumerate_file_placements, enumerate_m_level_rook_placements
 
@@ -341,6 +343,36 @@ class TestPartition:
         assert summary["total_zero"] is True
         assert summary["ok"] is False
         assert summary["witness"] == "1:1;2:1"
+        per_k = [cancellation.verify_cover(FerrersBoard((2, 2)), 2, j) for j in range(3)]
+        assert summary["nonrook_placements"] == sum(r.nonrook_count for r in per_k)
+        assert summary["num_classes"] == sum(len(r.classes) for r in per_k)
+
+    def test_all_k_summary_merges_the_per_k_summaries(self, capsys, monkeypatch):
+        # building the parser is most of a call's time, so it is built once
+        parser = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+        m = 2
+        for n in range(5):
+            for heights in combinations_with_replacement(range(2 * m + 3), n):
+                board = FerrersBoard(heights)
+                if not is_singleton(board, m):
+                    continue
+                per_k = [verify_cover(board, m, j).summary_json_dict() for j in range(n + 1)]
+                witnesses = [s["witness"] for s in per_k if s["witness"] is not None]
+                expected = {
+                    "board": str(board),
+                    "m": m,
+                    "k": None,
+                    "witness": witnesses[0] if witnesses else None,
+                }
+                for name in ("nonrook_placements", "num_classes", "total_weight"):
+                    expected[name] = sum(s[name] for s in per_k)
+                for name in ("well_defined", "disjoint_cover", "class_sums_zero", "total_zero"):
+                    expected[name] = all(s[name] for s in per_k)
+                expected["ok"] = all(s["ok"] for s in per_k)
+                code, out, _ = run_cli(capsys, "partition", "--board", str(board), "--m", str(m))
+                assert code == 0
+                assert json.loads(out.splitlines()[-1]) == expected
 
     def test_huge_k_has_no_classes(self, capsys):
         code, out, err = run_cli(

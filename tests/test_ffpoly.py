@@ -137,6 +137,18 @@ class TestFFPolyBasics:
             "m": 3,
         }
 
+    @pytest.mark.parametrize(
+        "poly, text",
+        [
+            (FFPoly(()), "0"),
+            (FFPoly((0, 1, 0, -2)), "-2*x^3 + 1*x"),
+            (FFPoly((3,), 2), "3"),
+            (FFPoly((0, 0, 1), 2), "1*x|2^2"),
+        ],
+    )
+    def test_str(self, poly, text):
+        assert str(poly) == text
+
 
 class TestBasisConversion:
     def test_basis_monomial_expands(self):

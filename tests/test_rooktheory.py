@@ -389,6 +389,33 @@ class TestVerifyFactorizations:
             "rhs": list(expand_roots(br_roots(board, 2)).coeffs),
         }
 
+    @pytest.mark.parametrize(
+        "check, field, heights, m",
+        [
+            ("level", "level_equals_pm", (7,), 2),  # taller than its 2 ambient rows
+            ("gjw", "gjw", (1, 2, 2, 3), 2),  # m != 1
+            ("br", "br_equals_pm", (1, 2, 2, 3), 3),  # not a singleton board
+        ],
+    )
+    def test_check_outside_its_domain_builds_nothing(self, monkeypatch, check, field, heights, m):
+        import mlrook.rooktheory as rt
+
+        calls = []
+
+        def counted(func):
+            def wrapper(*args):
+                calls.append(func.__name__)
+                return func(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(rt, "m_level_rook_poly", counted(rt.m_level_rook_poly))
+        monkeypatch.setattr(rt, "expand_roots", counted(rt.expand_roots))
+        report = rt.verify_factorizations(make_board(heights), m, (check,))
+        assert getattr(report, field) is None
+        assert report.ok
+        assert calls == []
+
     @pytest.mark.parametrize("heights, m", [((1, 1, 2, 4), 1), ((1, 3, 4, 4), 2)])
     def test_column_product_expanded_once(self, monkeypatch, heights, m):
         # gjw (at m = 1), br and file share one column product; zone and
