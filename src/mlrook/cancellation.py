@@ -43,10 +43,10 @@ of L in that column shares one key.  Otherwise, and for a last rook in
 a level the prefix leaves empty, the least crowded other conflicted
 level is canonical and the last rook is its last fixed cell; with none,
 the placement is an m-level rook placement.  So each cell is keyed and
-weighed in O(1) and tallied under its key: one more member and its
-weight.  ``_class_key``, behind ``canonical_class`` and the other public
-names, keys one placement the same way: ``_keyer`` and ``_split``
-applied to its prefix and its last rook.
+weighed in O(1) and added to its key's tally ``[members, weight sum]``,
+made when the key is first seen.  ``_class_key``, behind
+``canonical_class`` and the other public names, keys one placement the
+same way: ``_keyer`` and ``_split`` applied to its prefix and last rook.
 
 ``well_defined`` is still proved, with membership checked amortised.
 Each split is checked once against its prefix, in O(k): the prefix's
@@ -57,15 +57,16 @@ lies right of every prefix column, so appended to a valid split it
 makes a member.  A placement that fails is a witness and is not
 tallied.  The walked placements are distinct, so a class whose tally
 reaches its size ``m ** len(movable)`` was walked in full, each member
-mapping back to it; its tallied weights must sum to zero.  A key is a
-function, so the classes are disjoint, and they are exhaustive when the
-tallied count equals the non-rook count and ``e_k - r_k``: e_k, the
-number of file placements of k rooks, is the coefficient of
-``x^(n-k)`` in ``prod(x + h_i)``, and r_k is the m-level rook number
-from the column sweep of ``placements.rook_numbers``, which counts from
-the heights alone and never reads a class key.  So a keyer that wrongly
-reads a placement as an m-level rook placement cannot drop its class
-from both sides of the count.
+mapping back to it; its tallied weights must sum to zero.  One loop
+over the sorted keys checks both after the walk.  A key is a function,
+so the classes are disjoint, and they are exhaustive when the tallied
+count equals the non-rook count and ``e_k - r_k``: e_k, the number of
+file placements of k rooks, is the coefficient of ``x^(n-k)`` in
+``prod(x + h_i)``, and r_k is the m-level rook number from the column
+sweep of ``placements.rook_numbers``, which counts from the heights
+alone and never reads a class key.  So a keyer that wrongly reads a
+placement as an m-level rook placement cannot drop its class from both
+sides of the count.
 """
 
 from __future__ import annotations
@@ -169,16 +170,16 @@ def _keyer(
     for _, row in prefix:
         level = (row + m - 1) // m
         counts[level] = counts.get(level, 0) + 1
-    conflicted = sorted((count, level) for level, count in counts.items() if count > 1)
-    best, second = (conflicted + [None, None])[:2]
+    # the two least crowded conflicted levels as (count, level), or ``none``, above any pair
+    best = second = none = (len(prefix) + 2, 0)
+    for level, count in counts.items():
+        if count > 1 and (count, level) < second:
+            best, second = min(best, (count, level)), max(best, (count, level))
     actions = {}
     for level, count in counts.items():
-        other = second if best is not None and best[1] == level else best
-        if other is None or (count + 1, level) < other:
-            actions[level] = level, True
-        else:
-            actions[level] = other[1], False
-    return actions, (None if best is None else (best[1], False))
+        other = second if best[1] == level else best
+        actions[level] = (level, True) if (count + 1, level) < other else (other[1], False)
+    return actions, (None if best is none else (best[1], False))
 
 
 def _row_factors(prefix: tuple[tuple[int, int], ...], m: int, top: int) -> list[int]:
@@ -384,12 +385,11 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     """Partition the non-rook file placements of k rooks and check it.
 
     One walk over the prefixes of k - 1 rooks tallies each non-rook
-    placement once under its key, in O(1) per last-rook cell, as the
-    module docstring describes.  A placement outside the class its key
-    names is a witness and is not tallied: each prefix's split is checked
-    against the prefix once, and each movable last rook against the key's
-    level.  Only a failed count walks again, to name one.  Requires a
-    singleton board.
+    placement once under its key, in O(1) per last-rook cell, and one
+    loop over the sorted keys then checks each class's count and sum, as
+    the module docstring describes.  A placement outside the class its
+    key names is a witness and is not tallied.  Only a failed count walks
+    again, to name one.  Requires a singleton board.
     """
     _check_m(m)
     _check_k(k)
@@ -401,6 +401,9 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     tallies: dict[_Key, list[int]] = {}  # key -> [walked members, weight sum]
     count = total = 0
     witness: str | None = None
+    # each column's levels as (level, low, high); only for a walk, as heights may be huge
+    spans = [[(low // m + 1, low, min(low + m, h)) for low in range(0, h, m)]
+             for h in (heights if 2 <= k <= n else ())]
     # a single rook never conflicts; _prefixes yields nothing for k < 2
     for prefix, first, _ in _prefixes(heights, k):
         actions, elsewhere = _keyer(prefix, m)
@@ -410,9 +413,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         factors = _row_factors(prefix, m, heights[-1])
         splits: dict[int, tuple[_Key, bool]] = {}  # canonical level -> (split, member)
         for c in range(first, n + 1):
-            height = heights[c - 1]
-            for low in range(0, height, m):  # one level of column c at a time
-                level = low // m + 1
+            for level, low, high in spans[c - 1]:  # one level of column c at a time
                 action = actions.get(level, elsewhere)
                 if action is None:  # m-level rook placements
                     continue
@@ -422,7 +423,6 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
                     key = _split(prefix, canonical, m)
                     split = splits[canonical] = key, _in_class(prefix, key, m)
                 (canonical, fixed, columns), member = split
-                high = min(low + m, height)
                 count += high - low
                 if not member or movable and canonical != level:
                     total += w * sum(factors[low + 1 : high + 1])
@@ -430,37 +430,45 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
                 elif movable:  # every row of the level: one key
                     ws = w * sum(factors[low + 1 : high + 1])
                     total += ws
-                    tally = tallies.setdefault((canonical, fixed, columns + (c,)), [0, 0])
+                    key = canonical, fixed, columns + (c,)
+                    tally = tallies.get(key) or tallies.setdefault(key, [0, 0])
                     tally[0] += high - low
                     tally[1] += ws
                 else:  # one key per row, the last rook its last fixed cell
                     for r in range(low + 1, high + 1):
                         wr = w * factors[r]
                         total += wr
-                        tally = tallies.setdefault((canonical, fixed + ((c, r),), columns), [0, 0])
+                        key = canonical, fixed + ((c, r),), columns
+                        tally = tallies.get(key) or tallies.setdefault(key, [0, 0])
                         tally[0] += 1
                         tally[1] += wr
 
-    keys = sorted(tallies)
-    incomplete = {key for key in keys if tallies[key][0] != m ** len(key[2])}
-    tallied = sum(tally[0] for tally in tallies.values())
+    sizes = [m**j for j in range(min(k, n) + 1)]  # class sizes m**j; _in_class caps j at k <= n
+    tallied, incomplete, nonzero_witness, classes, sums = 0, set(), None, [], []
+    for key in sorted(tallies):
+        walked, s = tallies[key]
+        tallied += walked
+        if walked != sizes[len(key[2])]:
+            incomplete.add(key)
+        if s and nonzero_witness is None:  # the first class with a non-zero sum
+            nonzero_witness = _cells_string(sorted(_first_cells(*key, m)))
+        classes.append(CancellationClass._trusted(board, m, key))
+        sums.append(s)
     well_defined = tallied == count and not incomplete
     disjoint_cover = tallied == count == _nonrook_total(board, m, k)
     if not (well_defined and disjoint_cover):
         witness = witness or _first_unaccounted(board, m, k, incomplete)
-    nonzero = [key for key in keys if tallies[key][1]]
-    if nonzero:
-        witness = witness or _cells_string(sorted(_first_cells(*nonzero[0], m)))
+    witness = witness or nonzero_witness
     return CoverReport(
         board=board,
         m=m,
         k=k,
         nonrook_count=count,
-        classes=tuple(CancellationClass._trusted(board, m, key) for key in keys),
-        class_sums=tuple(tallies[key][1] for key in keys),
+        classes=tuple(classes),
+        class_sums=tuple(sums),
         well_defined=well_defined,
         disjoint_cover=disjoint_cover,
-        class_sums_zero=not nonzero,
+        class_sums_zero=nonzero_witness is None,
         total_zero=(total == 0),
         total_weight=total,
         witness=witness,

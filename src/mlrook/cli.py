@@ -143,12 +143,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     board, m, k = args.board, args.m, args.k
-    reports = [verify_cover(board, m, j) for j in (range(board.n + 1) if k is None else (k,))]
-    for report in reports:
+    summaries = []
+    for j in range(board.n + 1) if k is None else (k,):
+        report = verify_cover(board, m, j)
         for class_dict in report.class_json_dicts():
             _emit(class_dict)
+        summaries.append(report.summary_json_dict())
+        del report  # so the next k's walk holds only its own classes
     # one summary merged over every k covered; k is null when all counts ran
-    summaries = [r.summary_json_dict() for r in reports]
     summary = {**summaries[0], "k": k}
     for name in ("nonrook_placements", "num_classes", "total_weight"):
         summary[name] = sum(s[name] for s in summaries)

@@ -773,6 +773,19 @@ class TestVerifyCover:
         assert report.ok
         assert peak - held < 2**20, peak - held
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 2**62])
+    def test_empty_walk_costs_nothing_that_grows_with_height(self, k):
+        # one column of 10**7 rows: no k walks it, so nothing per level is built
+        board = make_board((10**7,))
+        tracemalloc.start()
+        try:
+            report = verify_cover(board, 1, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.nonrook_count == 0 and report.classes == ()
+        assert peak < 64 * 2**10, peak
+
 
 PLACEMENT_BUDGET = 5000
 
@@ -818,3 +831,32 @@ class TestVerifyCoverAgainstOracle:
             assert report.total_weight == expected["total_weight"]
             for flag in ("well_defined", "disjoint_cover", "class_sums_zero", "total_zero"):
                 assert getattr(report, flag) is expected[flag], flag
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_set_based_verifier_exhaustively(self, m):
+        # every singleton board of at most 4 columns and heights at most
+        # min(6, m*n), every k
+        cases = 0
+        for board in singleton_boards(4, 6, m):
+            if any(h > m * board.n for h in board.heights):
+                continue
+            for k in range(board.n + 1):
+                report = verify_cover(board, m, k)
+                expected = brute_cover(board, m, k)
+                got = {
+                    "nonrook_count": report.nonrook_count,
+                    "classes": [
+                        (cls.level, cls.fixed_cells, cls.movable_columns)
+                        for cls in report.classes
+                    ],
+                    "class_sums": list(report.class_sums),
+                    "well_defined": report.well_defined,
+                    "disjoint_cover": report.disjoint_cover,
+                    "class_sums_zero": report.class_sums_zero,
+                    "total_zero": report.total_zero,
+                    "total_weight": report.total_weight,
+                }
+                assert got == expected, (board, k)
+                assert report.witness is None, (board, k)
+                cases += 1
+        assert cases == {2: 943, 3: 654}[m]

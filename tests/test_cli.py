@@ -374,6 +374,27 @@ class TestPartition:
                 assert code == 0
                 assert json.loads(out.splitlines()[-1]) == expected
 
+    def test_all_k_prints_each_k_before_the_next_runs(self, capsys, monkeypatch):
+        # partition without --k holds one k's classes at a time: every class
+        # line of k - 1 is written before verify_cover runs for k
+        board, m = FerrersBoard((2, 2, 4, 4)), 2
+        per_k = [
+            [json.dumps(d, sort_keys=True) for d in verify_cover(board, m, j).class_json_dicts()]
+            for j in range(board.n + 1)
+        ]
+        assert [len(lines) for lines in per_k] == [0, 0, 14, 40, 18]
+        written = []
+
+        def verify_after_the_earlier_ks(board, m, k):
+            written.extend(capsys.readouterr().out.splitlines())
+            assert written == [line for lines in per_k[:k] for line in lines], k
+            return verify_cover(board, m, k)
+
+        monkeypatch.setattr(cli, "verify_cover", verify_after_the_earlier_ks)
+        code, out, _ = run_cli(capsys, "partition", "--board", str(board), "--m", str(m))
+        assert code == 0
+        assert written + out.splitlines()[:-1] == [line for lines in per_k for line in lines]
+
     def test_huge_k_has_no_classes(self, capsys):
         code, out, err = run_cli(
             capsys, "partition", "--board", "1,2", "--m", "2", "--k", str(2**62)
