@@ -358,12 +358,6 @@ class CoverReport:
             and self.total_zero
         )
 
-    def class_json_dicts(self) -> list[dict]:
-        return [
-            cls.to_json_dict(weight_sum=s)
-            for cls, s in zip(self.classes, self.class_sums)
-        ]
-
     def summary_json_dict(self) -> dict:
         return {
             "board": str(self.board),

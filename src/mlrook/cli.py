@@ -21,17 +21,15 @@ import sys
 from itertools import islice
 
 from .boards import (
-    AmbientSizeError, _check_int, _parse_ints, is_singleton, level_numbers, parse_board, zones,
+    _check_int, _fits_levels, _parse_ints, is_singleton, level_numbers, parse_board, zones,
 )
 from .cancellation import verify_cover
-from .ffpoly import expand_roots
 from .placements import (
     _column_recurrence, enumerate_file_placements, enumerate_m_level_rook_placements, rook_numbers,
 )
 from .rooktheory import (
-    CHECK_NAMES, br_roots, census_level_numbers, gjw_roots, level_roots, m_level_equivalent,
-    m_level_rook_poly, verify_factorizations, weighted_file_numbers, weighted_file_poly,
-    zone_roots,
+    _FORMS, CHECK_NAMES, census_level_numbers, m_level_equivalent, verify_factorizations,
+    weighted_file_numbers,
 )
 
 __all__ = ["entry", "main"]
@@ -50,9 +48,9 @@ def _int(text: str, name: str, low: int) -> int:
     return value
 
 
-# How main() reads each option given, in this order.  Here and in _FORMS a
-# lambda looks its function up when called, so a wrapper bound later to
-# the module-level name (as perfbench's tracer binds them) is the one used.
+# How main() reads each option given, in this order.  A lambda looks its
+# function up when called, so a wrapper bound later to the module-level
+# name (as perfbench's tracer binds them) is the one used.
 _READERS = {
     "board": lambda text: parse_board(text),
     "a": lambda text: parse_board(text),
@@ -63,23 +61,9 @@ _READERS = {
     "limit": lambda text: _int(text, "limit", 0),
 }
 
-# poly --form: each form's power-basis polynomial
-_FORMS = {
-    "pm": lambda board, m: m_level_rook_poly(board, m),
-    "file": lambda board, m: weighted_file_poly(board, m),
-    "gjw": lambda board, m: expand_roots(gjw_roots(board)),
-    "br": lambda board, m: expand_roots(br_roots(board, m)),
-    "zone": lambda board, m: expand_roots(zone_roots(board, m)),
-    "level": lambda board, m: expand_roots(level_roots(board, m)),
-}
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     board, m = args.board, args.m
-    try:
-        levels: list[int] | None = list(level_numbers(board, m))
-    except AmbientSizeError:
-        levels = None
+    levels = list(level_numbers(board, m)) if _fits_levels(board, m) else None
     _emit(
         {
             "board": str(board),
@@ -146,8 +130,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     summaries = []
     for j in range(board.n + 1) if k is None else (k,):
         report = verify_cover(board, m, j)
-        for class_dict in report.class_json_dicts():
-            _emit(class_dict)
+        for cls, weight_sum in zip(report.classes, report.class_sums):
+            _emit(cls.to_json_dict(weight_sum))
         summaries.append(report.summary_json_dict())
         del report  # so the next k's walk holds only its own classes
     # one summary merged over every k covered; k is null when all counts ran

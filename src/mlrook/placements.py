@@ -181,9 +181,9 @@ def _prefixes(
         last_col = n - k + d + 1  # leaves one column for each later rook
         while col <= last_col:
             height = heights[col - 1]
-            if m is not None:
+            if m is not None:  # a used level is skipped whole, to the next level's first row
                 while row <= height and (row + m - 1) // m in used:
-                    row += 1
+                    row = (row + m - 1) // m * m + 1
             if row <= height:
                 break
             col += 1

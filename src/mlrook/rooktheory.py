@@ -63,8 +63,6 @@ __all__ = [
     "zone_roots",
 ]
 
-CHECK_NAMES = ("gjw", "br", "zone", "level", "file")
-
 
 def weight(placement: FilePlacement, m: int) -> int:
     """Product over rows of ``ff(1, rooks_in_row, m)``.
@@ -158,6 +156,33 @@ def weighted_file_poly(board: FerrersBoard, m: int) -> FFPoly:
     return _basis_sum_poly(weighted_file_numbers(board, m), m)
 
 
+# Each form's power-basis polynomial, as ``poly --form`` names it.  A lambda
+# looks its function up when called, so a wrapper bound later to the
+# module-level name (as perfbench's tracer binds them) is the one used.
+_FORMS = {
+    "pm": lambda board, m: m_level_rook_poly(board, m),
+    "file": lambda board, m: weighted_file_poly(board, m),
+    "gjw": lambda board, m: expand_roots(gjw_roots(board)),
+    "br": lambda board, m: expand_roots(br_roots(board, m)),
+    "zone": lambda board, m: expand_roots(zone_roots(board, m)),
+    "level": lambda board, m: expand_roots(level_roots(board, m)),
+}
+
+# Each identity check: its FactorizationReport field, its JSON and
+# ``details`` key, where it holds (looked up late, as in _FORMS), and the two
+# forms it compares.  ``gjw`` compares the ``br`` form, since gjw_roots(board)
+# is br_roots(board, 1); "rows" is the row sweep's f_k polynomial, which
+# reads no product form.
+_CHECKS = {
+    "gjw": ("gjw", "gjw", lambda board, m: m == 1, "br", "pm"),
+    "br": ("br_equals_pm", "br_equals_pm", lambda board, m: is_singleton(board, m), "br", "pm"),
+    "zone": ("zone_equals_pm", "zone", lambda board, m: True, "zone", "pm"),
+    "level": ("level_equals_pm", "level", lambda board, m: _fits_levels(board, m), "level", "pm"),
+    "file": ("file_equals_br_product", "file", lambda board, m: True, "rows", "br"),
+}
+CHECK_NAMES = tuple(_CHECKS)
+
+
 @dataclass(frozen=True)
 class FactorizationReport:
     """Outcome of the product-form identity checks for one (board, m).
@@ -180,25 +205,13 @@ class FactorizationReport:
     @property
     def ok(self) -> bool:
         """True iff no check that ran failed."""
-        return False not in (
-            self.gjw,
-            self.br_equals_pm,
-            self.zone_equals_pm,
-            self.level_equals_pm,
-            self.file_equals_br_product,
-        )
+        return False not in (getattr(self, attr) for attr, *_ in _CHECKS.values())
 
     def to_json_dict(self) -> dict:
         return {
             "board": str(self.board),
             "m": self.m,
-            "checks": {
-                "gjw": self.gjw,
-                "br_equals_pm": self.br_equals_pm,
-                "zone": self.zone_equals_pm,
-                "level": self.level_equals_pm,
-                "file": self.file_equals_br_product,
-            },
+            "checks": {key: getattr(self, attr) for attr, key, *_ in _CHECKS.values()},
             "details": {name: dict(d) for name, d in self.details.items()},
         }
 
@@ -232,40 +245,26 @@ def verify_factorizations(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
 
+    polys: dict[str, FFPoly] = {}  # each form built once, when a check first needs it
+
+    def form(name: str) -> FFPoly:
+        if name not in polys:
+            polys[name] = (
+                _basis_sum_poly(_row_sweep(board.heights, m), m) if name == "rows"
+                else _FORMS[name](board, m)
+            )
+        return polys[name]
+
+    results: dict[str, bool | None] = {}
     details: dict[str, dict] = {}
-
-    def compare(name: str, lhs: FFPoly, rhs: FFPoly) -> bool:
-        if lhs == rhs:
-            return True
-        details[name] = {"lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs)}
-        return False
-
-    # where each identity holds; a requested check outside it stays None
-    domain = {"gjw": m == 1, "br": is_singleton(board, m), "zone": True,
-              "level": _fits_levels(board, m), "file": True}
-    run = {name for name in requested if domain[name]}
-    pm = m_level_rook_poly(board, m) if run & {"gjw", "br", "zone", "level"} else None
-    # the column product, expanded once: gjw_roots(board) is br_roots(board, 1)
-    column = expand_roots(br_roots(board, m)) if run & {"gjw", "br", "file"} else None
-
-    return FactorizationReport(
-        board=board,
-        m=m,
-        gjw=compare("gjw", column, pm) if "gjw" in run else None,
-        br_equals_pm=compare("br_equals_pm", column, pm) if "br" in run else None,
-        zone_equals_pm=(
-            compare("zone", expand_roots(zone_roots(board, m)), pm) if "zone" in run else None
-        ),
-        level_equals_pm=(
-            compare("level", expand_roots(level_roots(board, m)), pm) if "level" in run else None
-        ),
-        file_equals_br_product=(
-            compare("file", _basis_sum_poly(_row_sweep(board.heights, m), m), column)
-            if "file" in run
-            else None
-        ),
-        details=details,
-    )
+    for name, (attr, key, holds, lhs_form, rhs_form) in _CHECKS.items():
+        results[attr] = None
+        if name in requested and holds(board, m):
+            lhs, rhs = form(lhs_form), form(rhs_form)
+            results[attr] = lhs == rhs
+            if not results[attr]:
+                details[key] = {"lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs)}
+    return FactorizationReport(board=board, m=m, details=details, **results)
 
 
 def m_level_equivalent(b1: FerrersBoard, b2: FerrersBoard, m: int) -> bool:

@@ -520,7 +520,7 @@ class TestVerifyCover:
         summary = report.summary_json_dict()
         assert summary["ok"] is True
         assert summary["board"] == "1,2"
-        class_dicts = report.class_json_dicts()
+        class_dicts = [cls.to_json_dict(s) for cls, s in zip(report.classes, report.class_sums)]
         assert class_dicts == [
             {
                 "level": 1,

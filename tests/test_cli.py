@@ -379,8 +379,11 @@ class TestPartition:
         # line of k - 1 is written before verify_cover runs for k
         board, m = FerrersBoard((2, 2, 4, 4)), 2
         per_k = [
-            [json.dumps(d, sort_keys=True) for d in verify_cover(board, m, j).class_json_dicts()]
-            for j in range(board.n + 1)
+            [
+                json.dumps(cls.to_json_dict(s), sort_keys=True)
+                for cls, s in zip(report.classes, report.class_sums)
+            ]
+            for report in (verify_cover(board, m, j) for j in range(board.n + 1))
         ]
         assert [len(lines) for lines in per_k] == [0, 0, 14, 40, 18]
         written = []
@@ -394,6 +397,28 @@ class TestPartition:
         code, out, _ = run_cli(capsys, "partition", "--board", str(board), "--m", str(m))
         assert code == 0
         assert written + out.splitlines()[:-1] == [line for lines in per_k for line in lines]
+
+    def test_each_class_line_is_written_before_the_next_is_rendered(self, capsys, monkeypatch):
+        # a listing holds one class's dict at a time, not every dict of a k
+        import mlrook.cancellation as cancellation
+
+        log = []
+        real_emit, real_render = cli._emit, cancellation.CancellationClass.to_json_dict
+
+        def logged_emit(obj):
+            log.append("emit")
+            real_emit(obj)
+
+        def logged_render(cls, weight_sum):
+            log.append("render")
+            return real_render(cls, weight_sum)
+
+        monkeypatch.setattr(cli, "_emit", logged_emit)
+        monkeypatch.setattr(cancellation.CancellationClass, "to_json_dict", logged_render)
+        code, out, _ = run_cli(capsys, "partition", "--board", "2,2,4,4", "--m", "2")
+        assert code == 0
+        assert log == ["render", "emit"] * 72 + ["emit"]  # 14 + 40 + 18 classes, then the summary
+        assert len(out.splitlines()) == 73
 
     def test_huge_k_has_no_classes(self, capsys):
         code, out, err = run_cli(

@@ -207,6 +207,23 @@ class TestEnumerateMLevel:
         for p in enumerate_m_level_rook_placements(make_board((2, 3, 5)), 2, 2):
             assert is_m_level_rook_placement(p, 2)
 
+    def test_used_level_skipped_in_one_step(self):
+        # on (h, h, h) at m = h every row is in level 1, so r_3 = 0; the
+        # second rook must skip column 2's used level at once, not row by
+        # row, or the walk takes h * h steps.  Each row step reads
+        # ``row + m``, which this int counts.
+        class CountedM(int):
+            steps = 0
+
+            def __radd__(self, other):
+                CountedM.steps += 1
+                return int(other) + int(self)
+
+        h = 300
+        walk = enumerate_m_level_rook_placements(make_board((h, h, h)), CountedM(h), 3)
+        assert next(walk, None) is None
+        assert 0 < CountedM.steps < 10 * h
+
 
 def assert_records(board, walked, expected):
     # each record, stored without re-validation, is the placement the

@@ -416,6 +416,50 @@ class TestVerifyFactorizations:
         assert report.ok
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "patched, m, failed",
+        [
+            # a wrong p_m fails every check that reads it
+            ("m_level_rook_poly", 1, {"gjw", "br_equals_pm", "zone", "level"}),
+            ("m_level_rook_poly", 2, {"br_equals_pm", "zone", "level"}),
+            # a wrong row sweep fails only the file check
+            ("_row_sweep", 1, {"file"}),
+            ("_row_sweep", 2, {"file"}),
+            # a wrong product expansion fails every check
+            ("expand_roots", 1, {"gjw", "br_equals_pm", "zone", "level", "file"}),
+            ("expand_roots", 2, {"br_equals_pm", "zone", "level", "file"}),
+        ],
+    )
+    def test_details_name_exactly_the_failed_checks(self, monkeypatch, patched, m, failed):
+        import mlrook.rooktheory as rt
+
+        board = make_board((1, 2, 4, 4))  # singleton at m = 1 and 2, and fits its levels
+        assert rt.verify_factorizations(board, m).to_json_dict()["checks"] == {
+            "gjw": True if m == 1 else None,
+            "br_equals_pm": True,
+            "zone": True,
+            "level": True,
+            "file": True,
+        }
+        bogus = {
+            "m_level_rook_poly": lambda b, m: FFPoly((7,)),
+            "_row_sweep": lambda heights, t: (7,) * (len(heights) + 1),
+            "expand_roots": lambda roots: FFPoly((7, 0, 1)),
+        }
+        monkeypatch.setattr(rt, patched, bogus[patched])
+        report = rt.verify_factorizations(board, m)
+        assert not report.ok
+        assert set(report.details) == failed
+        checks = report.to_json_dict()["checks"]
+        assert {key for key, passed in checks.items() if passed is False} == failed
+        for d in report.details.values():
+            assert set(d) == {"lhs", "rhs"} and d["lhs"] != d["rhs"]
+        # each check alone fails the same way and reports only itself
+        for name, key in zip(rt.CHECK_NAMES, checks):
+            alone = rt.verify_factorizations(board, m, (name,))
+            assert set(alone.details) == ({key} & failed)
+            assert alone.ok is (key not in failed)
+
     @pytest.mark.parametrize("heights, m", [((1, 1, 2, 4), 1), ((1, 3, 4, 4), 2)])
     def test_column_product_expanded_once(self, monkeypatch, heights, m):
         # gjw (at m = 1), br and file share one column product; zone and
