@@ -17,9 +17,9 @@ order of their sorted (column, row) cells.  All rooks but the last form
 an odometer, ``_prefixes``, that keeps one (column, row) per rook
 instead of recursing, so it has no depth limit; it yields each prefix
 of k - 1 rooks with the first column left free.  ``_walk`` sweeps the
-last rook over the free cells to the prefix's right in one inner loop;
-each column's one-cell tuples are memoised the first time the sweep
-passes over the whole column, so later prefixes reuse them.
+last rook over the free cells to the prefix's right in one inner loop.
+Each column's one-cell tuples are memoised in groups, one per level, as
+the first sweep passes, so a later sweep skips a used level in one step.
 ``cancellation.verify_cover`` reads the same odometer and handles each
 prefix's cells itself.  Streams are generated lazily.
 
@@ -210,13 +210,12 @@ def _walk(
     ``m=None`` walks file placements; an integer m also allows at most
     one rook per level.  For each prefix of k - 1 rooks from
     ``_prefixes``, the last rook sweeps every free cell to its right in
-    one inner loop, yielding the prefix plus that cell; the m-level walk
-    skips the cells whose level is used.  Each column's
-    ``((column, row),)`` one-tuples and their levels are memoised once
-    the sweep has passed over the whole column, built as it yields and
-    never ahead, so the memo holds only cells the walk has already
-    visited and ``next()`` returns at once even on a very tall column.
-    ``_prefixes`` yields nothing for k = 1, so the walk sweeps each cell once.
+    one inner loop, yielding the prefix plus that cell.  The memo holds
+    each column as ``(level, one-tuples)`` groups, one per level, so a
+    sweep skips a used level in one test; the file walk's whole column
+    is one group, and its ``used`` is empty.  The groups are built while
+    the column's first sweep yields, never ahead, so ``next()`` returns
+    at once on a very tall column.  k = 1 has no prefix and no memo.
     """
     if k == 0:
         yield ()
@@ -227,28 +226,29 @@ def _walk(
             for row in range(1, height + 1):
                 yield ((col, row),)
         return
-    ones: list = [None] * (n + 1)  # ones[c]: column c's memoised one-tuples
-    levels: list = [None] * (n + 1)  # levels[c]: their levels (m-level walk)
+    groups: list = [None] * (n + 1)  # groups[c]: column c's (level, one-tuples) list
     for prefix, first, used in _prefixes(heights, k, m):
         for c in range(first, n + 1):
-            memo = ones[c]
+            memo = groups[c]
             if memo is None:
-                swept = []
-                for r in range(1, heights[c - 1] + 1):
-                    one = ((c, r),)
-                    swept.append(one)
-                    if m is None or (r + m - 1) // m not in used:
-                        yield prefix + one
-                ones[c] = swept
-                if m is not None:
-                    levels[c] = tuple((r + m - 1) // m for r in range(1, len(swept) + 1))
-            elif m is None:
-                for one in memo:
-                    yield prefix + one
+                memo = []
+                end = heights[c - 1] + 1
+                rows = m or end  # rows per group: the file walk's column is one group
+                for level, low in enumerate(range(1, end, rows), start=1):
+                    swept = []
+                    memo.append((level, swept))
+                    free = level not in used
+                    for r in range(low, min(low + rows, end)):
+                        one = ((c, r),)
+                        swept.append(one)
+                        if free:
+                            yield prefix + one
+                groups[c] = memo
             else:
-                for one, level in zip(memo, levels[c]):
+                for level, swept in memo:
                     if level not in used:
-                        yield prefix + one
+                        for one in swept:
+                            yield prefix + one
 
 
 def enumerate_file_placements(board: FerrersBoard, k: int) -> Iterator[FilePlacement]:

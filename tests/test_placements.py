@@ -9,6 +9,7 @@ from itertools import islice
 import pytest
 
 import mlrook.boards as boards
+import mlrook.placements as placements
 from mlrook.boards import FerrersBoard, make_board
 from mlrook.placements import (
     FilePlacement,
@@ -223,6 +224,32 @@ class TestEnumerateMLevel:
         walk = enumerate_m_level_rook_placements(make_board((h, h, h)), CountedM(h), 3)
         assert next(walk, None) is None
         assert 0 < CountedM.steps < 10 * h
+
+    def test_last_rook_skips_used_level_in_one_step(self, monkeypatch):
+        # on (h, h) at m = h both columns are one level, so r_2 = 0; each of
+        # column 1's h rows is a prefix, and the last rook's sweep of column 2
+        # must skip the used level at once, not test it cell by cell, or the
+        # walk makes h * h level tests.  Each prefix's ``used`` is handed over
+        # as a copy that counts them.
+        checks = 0
+
+        class CountedSet(set):
+            def __contains__(self, level):
+                nonlocal checks
+                checks += 1
+                return super().__contains__(level)
+
+        prefixes = placements._prefixes
+
+        def counted(heights, k, m=None):
+            for prefix, first, used in prefixes(heights, k, m):
+                yield prefix, first, CountedSet(used)
+
+        monkeypatch.setattr(placements, "_prefixes", counted)
+        h = 2_000
+        walk = enumerate_m_level_rook_placements(make_board((h, h)), h, 2)
+        assert next(walk, None) is None
+        assert 0 < checks <= 3 * h, checks
 
 
 def assert_records(board, walked, expected):
