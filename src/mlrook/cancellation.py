@@ -104,6 +104,19 @@ class NonSingletonBoardError(ValueError):
     """The cancellation construction was attempted outside its domain."""
 
 
+def _check_singleton(board: FerrersBoard, m: int) -> None:
+    if not is_singleton(board, m):
+        raise NonSingletonBoardError(f"board {board} is not a singleton board for m={m}")
+
+
+def _check_full(board: FerrersBoard, column: int, level: int, m: int) -> None:
+    # a column swept through the level must meet it in all m rows
+    if board.column_height(column) < m * level:
+        raise NonSingletonBoardError(
+            f"column {column} meets level {level} in fewer than {m} cells"
+        )
+
+
 def nonrook_file_placements(
     board: FerrersBoard, m: int, k: int
 ) -> Iterator[FilePlacement]:
@@ -228,11 +241,7 @@ class CancellationClass:
         object.__setattr__(self, "fixed_cells", fixed)
         object.__setattr__(self, "movable_columns", movable)
         for col in movable:
-            if self.board.column_height(col) < self.m * self.level:
-                raise NonSingletonBoardError(
-                    f"column {col} meets level {self.level} in fewer than {self.m} cells;"
-                    " the class sweep would leave the board"
-                )
+            _check_full(self.board, col, self.level, self.m)
         key = (self.level, fixed, movable)
         if _class_key(first.cells, self.m) != key:
             raise ValueError(f"not the canonical class of its first member {first}")
@@ -273,8 +282,7 @@ def canonical_class(placement: FilePlacement, m: int) -> CancellationClass:
     ill-formed).
     """
     board = placement.board
-    if not is_singleton(board, m):
-        raise NonSingletonBoardError(f"board {board} is not a singleton board for m={m}")
+    _check_singleton(board, m)
     key = _class_key(placement.cells, m)
     if key is None:
         raise ValueError("placement is an m-level rook placement; no level holds two rooks")
@@ -315,12 +323,13 @@ def reintroduction_sum(
     _check_int("column", column)
     if column in placement.occupied:
         raise ValueError(f"column {column} is already occupied")
-    if placement.board.column_height(column) < m * level:
-        raise ValueError(
-            f"column {column} meets level {level} in fewer than {m} cells"
-        )
+    _check_full(placement.board, column, level, m)
     rows = _rows_of_level(level, m)
     return sum(_row_weight(placement.cells + ((column, row),), m) for row in rows)
+
+
+# CoverReport's four checks: its boolean fields, its summary keys, and what ok requires
+_FLAGS = ("well_defined", "disjoint_cover", "class_sums_zero", "total_zero")
 
 
 @dataclass(frozen=True)
@@ -333,7 +342,7 @@ class CoverReport:
     non-rook placements.  ``class_sums_zero``: every class weight sum is
     zero.  ``total_zero``: the weights over all non-rook placements sum
     to zero.  ``witness`` names an offending placement when some check
-    fails.
+    fails.  ``ok``: all four checks hold.
     """
 
     board: FerrersBoard
@@ -351,12 +360,7 @@ class CoverReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.well_defined
-            and self.disjoint_cover
-            and self.class_sums_zero
-            and self.total_zero
-        )
+        return all(getattr(self, flag) for flag in _FLAGS)
 
     def summary_json_dict(self) -> dict:
         return {
@@ -365,10 +369,7 @@ class CoverReport:
             "k": self.k,
             "nonrook_placements": self.nonrook_count,
             "num_classes": len(self.classes),
-            "well_defined": self.well_defined,
-            "disjoint_cover": self.disjoint_cover,
-            "class_sums_zero": self.class_sums_zero,
-            "total_zero": self.total_zero,
+            **{flag: getattr(self, flag) for flag in _FLAGS},
             "total_weight": self.total_weight,
             "ok": self.ok,
             "witness": self.witness,
@@ -387,16 +388,15 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     """
     _check_m(m)
     _check_k(k)
-    if not is_singleton(board, m):
-        raise NonSingletonBoardError(f"board {board} is not a singleton board for m={m}")
+    _check_singleton(board, m)
 
     heights = board.heights
     n = len(heights)
     tallies: dict[_Key, list[int]] = {}  # key -> [walked members, weight sum]
     count = total = 0
     witness: str | None = None
-    # each column's levels as (level, low, high); only for a walk, as heights may be huge
-    spans = [[(low // m + 1, low, min(low + m, h)) for low in range(0, h, m)]
+    # each column's levels as (level, first row, last row + 1); only for a walk: heights may be big
+    spans = [[(low // m + 1, low + 1, min(low + m, h) + 1) for low in range(0, h, m)]
              for h in (heights if 2 <= k <= n else ())]
     # a single rook never conflicts; _prefixes yields nothing for k < 2
     for prefix, first, _ in _prefixes(heights, k):
@@ -407,7 +407,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         factors = _row_factors(prefix, m, heights[-1])
         splits: dict[int, tuple[_Key, bool]] = {}  # canonical level -> (split, member)
         for c in range(first, n + 1):
-            for level, low, high in spans[c - 1]:  # one level of column c at a time
+            for level, start, stop in spans[c - 1]:  # one level of column c at a time
                 action = actions.get(level, elsewhere)
                 if action is None:  # m-level rook placements
                     continue
@@ -417,25 +417,23 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
                     key = _split(prefix, canonical, m)
                     split = splits[canonical] = key, _in_class(prefix, key, m)
                 (canonical, fixed, columns), member = split
-                count += high - low
+                count += stop - start
+                span = factors[start:stop]
+                ws = w * sum(span)
+                total += ws
                 if not member or movable and canonical != level:
-                    total += w * sum(factors[low + 1 : high + 1])
-                    witness = witness or _cells_string(prefix + ((c, low + 1),))
+                    witness = witness or _cells_string(prefix + ((c, start),))
                 elif movable:  # every row of the level: one key
-                    ws = w * sum(factors[low + 1 : high + 1])
-                    total += ws
                     key = canonical, fixed, columns + (c,)
                     tally = tallies.get(key) or tallies.setdefault(key, [0, 0])
-                    tally[0] += high - low
+                    tally[0] += stop - start
                     tally[1] += ws
                 else:  # one key per row, the last rook its last fixed cell
-                    for r in range(low + 1, high + 1):
-                        wr = w * factors[r]
-                        total += wr
+                    for r, factor in enumerate(span, start):
                         key = canonical, fixed + ((c, r),), columns
                         tally = tallies.get(key) or tallies.setdefault(key, [0, 0])
                         tally[0] += 1
-                        tally[1] += wr
+                        tally[1] += w * factor
 
     sizes = [m**j for j in range(min(k, n) + 1)]  # class sizes m**j; _in_class caps j at k <= n
     tallied, incomplete, nonzero_witness, classes, sums = 0, set(), None, [], []

@@ -23,7 +23,7 @@ from itertools import islice
 from .boards import (
     _check_int, _fits_levels, _parse_ints, is_singleton, level_numbers, parse_board, zones,
 )
-from .cancellation import verify_cover
+from .cancellation import _FLAGS, verify_cover
 from .placements import (
     _column_recurrence, enumerate_file_placements, enumerate_m_level_rook_placements, rook_numbers,
 )
@@ -58,7 +58,8 @@ _READERS = {
     "levels": lambda text: _parse_ints(text, "levels", ValueError),
     "m": lambda text: _int(text, "m", 1),
     "k": lambda text: _int(text, "k", 0),
-    "limit": lambda text: _int(text, "limit", 0),
+    # islice takes at most sys.maxsize, and no listing is that long
+    "limit": lambda text: min(_int(text, "limit", 0), sys.maxsize),
 }
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -138,7 +139,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     summary = {**summaries[0], "k": k}
     for name in ("nonrook_placements", "num_classes", "total_weight"):
         summary[name] = sum(s[name] for s in summaries)
-    for name in ("well_defined", "disjoint_cover", "class_sums_zero", "total_zero", "ok"):
+    for name in (*_FLAGS, "ok"):
         summary[name] = all(s[name] for s in summaries)
     summary["witness"] = next((s["witness"] for s in summaries if s["witness"] is not None), None)
     _emit(summary)

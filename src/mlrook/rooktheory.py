@@ -245,14 +245,12 @@ def verify_factorizations(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
 
+    forms = {**_FORMS, "rows": lambda board, m: _basis_sum_poly(_row_sweep(board.heights, m), m)}
     polys: dict[str, FFPoly] = {}  # each form built once, when a check first needs it
 
     def form(name: str) -> FFPoly:
         if name not in polys:
-            polys[name] = (
-                _basis_sum_poly(_row_sweep(board.heights, m), m) if name == "rows"
-                else _FORMS[name](board, m)
-            )
+            polys[name] = forms[name](board, m)
         return polys[name]
 
     results: dict[str, bool | None] = {}

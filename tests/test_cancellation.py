@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -453,6 +454,16 @@ class TestReintroduction:
                                 actual = reintroduction_sum(fhat, col, level, m)
                                 assert actual == weight(fhat, m) * m * (1 - t)
 
+    def test_partial_column_is_refused_as_a_class_refuses_it(self):
+        # column 3 of (1,2,2,3) meets level 1 in 2 of 3 cells: the same error
+        # and message as CancellationClass gives
+        board = make_board((1, 2, 2, 3))
+        message = "column 3 meets level 1 in fewer than 3 cells"
+        with pytest.raises(NonSingletonBoardError, match=f"^{message}$"):
+            reintroduction_sum(FilePlacement(board, ((2, 1),)), 3, 1, 3)
+        with pytest.raises(NonSingletonBoardError, match=f"^{message}$"):
+            CancellationClass(board, 3, 1, ((2, 1),), (3,))
+
     def test_precondition_violations(self):
         board = make_board((2, 4))
         fhat = FilePlacement(board, ((2, 3),))
@@ -489,6 +500,18 @@ class TestVerifyCover:
         assert report.total_zero
         assert report.witness is None
         assert report.nonrook_count == sum(cls.size for cls in report.classes)
+
+    @pytest.mark.parametrize(
+        "flag", ["well_defined", "disjoint_cover", "class_sums_zero", "total_zero"]
+    )
+    def test_each_flag_fails_ok_and_reaches_the_summary(self, flag):
+        report = verify_cover(WIDE_BOARD, 2, 6)
+        assert report.ok
+        failed = dataclasses.replace(report, **{flag: False})
+        assert not failed.ok
+        assert failed.summary_json_dict() == {
+            **report.summary_json_dict(), flag: False, "ok": False
+        }
 
     def test_two_column_board(self):
         report = verify_cover(make_board((1, 2)), 2, 2)

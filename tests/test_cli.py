@@ -1,13 +1,19 @@
+import dataclasses
 import json
 from itertools import combinations_with_replacement
 
 import pytest
 
+import mlrook.cancellation as cancellation
 import mlrook.cli as cli
 from mlrook.boards import FerrersBoard, is_singleton
 from mlrook.cancellation import verify_cover
 from mlrook.cli import main
 from mlrook.placements import enumerate_file_placements, enumerate_m_level_rook_placements
+
+
+# the four checks of a partition summary
+FLAGS = ("well_defined", "disjoint_cover", "class_sums_zero", "total_zero")
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +110,17 @@ class TestEnumerate:
         data = json.loads(out)
         assert data["count"] == 3
         assert data["placements"] == ["1:1", "2:1"]
+
+    def test_limit_beyond_maxsize_lists_everything(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "enumerate", "--board", "1,2", "--m", "2", "--k", "1",
+            "--kind", "file", "--limit", str(10**20),
+        )
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["count"] == 3
+        assert data["placements"] == ["1:1", "2:1", "2:2"]
 
     def test_rook_kind_ignores_m(self, capsys):
         code, out, _ = run_cli(
@@ -327,8 +344,6 @@ class TestPartition:
         assert summary["total_weight"] == 0
 
     def test_failed_cover_exits_1(self, capsys, monkeypatch):
-        import mlrook.cancellation as cancellation
-
         # +1 when the first rook is on row 1, else -1, and no factor for the
         # last rook: the classes of k = 2 sum to 2 and -2 while every total
         # vanishes
@@ -367,12 +382,34 @@ class TestPartition:
                 }
                 for name in ("nonrook_placements", "num_classes", "total_weight"):
                     expected[name] = sum(s[name] for s in per_k)
-                for name in ("well_defined", "disjoint_cover", "class_sums_zero", "total_zero"):
+                for name in FLAGS:
                     expected[name] = all(s[name] for s in per_k)
                 expected["ok"] = all(s["ok"] for s in per_k)
                 code, out, _ = run_cli(capsys, "partition", "--board", str(board), "--m", str(m))
                 assert code == 0
                 assert json.loads(out.splitlines()[-1]) == expected
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_all_k_summary_carries_a_failed_flag(self, capsys, monkeypatch, flag):
+        # one k's report fails one flag: the merged summary fails it and ok,
+        # names that k's witness, and the command exits 1
+        board, m = FerrersBoard((2, 2, 4, 4)), 2
+
+        def fail_at_k3(board, m, k):
+            report = verify_cover(board, m, k)
+            if k == 3:
+                report = dataclasses.replace(report, **{flag: False}, witness="1:1;2:1;3:1")
+            return report
+
+        monkeypatch.setattr(cli, "verify_cover", fail_at_k3)
+        code, out, _ = run_cli(capsys, "partition", "--board", str(board), "--m", str(m))
+        assert code == 1
+        summary = json.loads(out.splitlines()[-1])
+        assert summary["k"] is None
+        assert summary["witness"] == "1:1;2:1;3:1"
+        assert {name: summary[name] for name in (*FLAGS, "ok")} == {
+            **{name: name != flag for name in FLAGS}, "ok": False,
+        }
 
     def test_all_k_prints_each_k_before_the_next_runs(self, capsys, monkeypatch):
         # partition without --k holds one k's classes at a time: every class
@@ -400,8 +437,6 @@ class TestPartition:
 
     def test_each_class_line_is_written_before_the_next_is_rendered(self, capsys, monkeypatch):
         # a listing holds one class's dict at a time, not every dict of a k
-        import mlrook.cancellation as cancellation
-
         log = []
         real_emit, real_render = cli._emit, cancellation.CancellationClass.to_json_dict
 
