@@ -29,24 +29,27 @@ is checked through its first member, built in closed form whatever m.
 
 ``verify_cover`` checks the partition in one walk, keeping no set of
 placements.  ``placements._prefixes`` yields each prefix of k - 1 rooks,
-and the last rook sweeps the free cells to its right a level of a
-column at a time.  Per prefix, computed once: its rooks per level and,
-as ``(count, level)``, its two least crowded conflicted levels, which
-``_keyer`` turns into the canonical level for a last rook in each level;
-its weight, by the public ``weight``; the factor ``1 - rooks_in_row*m``
-by which a last rook in each row multiplies that weight; and, built
-lazily, the split ``(level, fixed cells, movable columns)`` of each
-level a key needs.  A last rook in a level L that the prefix holds joins
-L's movable columns when ``(count + 1, L)`` beats the least crowded
-other conflicted level, or no other level is conflicted, so every row
-of L in that column shares one key.  Otherwise, and for a last rook in
-a level the prefix leaves empty, the least crowded other conflicted
-level is canonical and the last rook is its last fixed cell; with none,
-the placement is an m-level rook placement.  So each cell is keyed and
-weighed in O(1) and added to its key's tally ``[members, weight sum]``,
-made when the key is first seen.  ``_class_key``, behind
-``canonical_class`` and the other public names, keys one placement the
-same way: ``_keyer`` and ``_split`` applied to its prefix and last rook.
+and the last rook sweeps the free cells to its right a level of a column
+at a time.  Per prefix, computed once in O(k): as ``(count, level)``, its
+two least crowded conflicted levels, which ``_keyer`` turns into the
+canonical level for a last rook in each level; its weight w, by the public
+``weight``; its rooks per row and per level, which ``_row_counts`` reads
+off its cells, never off a key; and, built lazily, the split
+``(level, fixed cells, movable columns)`` of each level a key needs.  A
+last rook in a level L that the prefix holds joins L's movable columns
+when ``(count + 1, L)`` beats the least crowded other conflicted level, or
+no other level is conflicted, so every row of L in that column shares one
+key.  Otherwise, and for a last rook in a level the prefix leaves empty,
+the least crowded other conflicted level is canonical and the last rook is
+its last fixed cell; with none, the placement is an m-level rook
+placement.  A last rook in row r weighs ``w * (1 - m * rows[r])``; over
+its column's s rows of L, ``w * (s - m * t)`` for the t prefix rooks in L,
+all in columns to the left, no taller: the reintroduction identity for a
+whole level.  So a level span or fixed cell is keyed and weighed in O(1)
+and added to its key's tally ``[members, weight sum]``, made when first
+seen.  ``_class_key``, behind ``canonical_class`` and the other public
+names, keys one placement the same way: ``_keyer`` and ``_split`` applied
+to its prefix and last rook.
 
 ``well_defined`` is still proved, with membership checked amortised.
 Each split is checked once against its prefix, in O(k): the prefix's
@@ -117,9 +120,7 @@ def _check_full(board: FerrersBoard, column: int, level: int, m: int) -> None:
         )
 
 
-def nonrook_file_placements(
-    board: FerrersBoard, m: int, k: int
-) -> Iterator[FilePlacement]:
+def nonrook_file_placements(board: FerrersBoard, m: int, k: int) -> Iterator[FilePlacement]:
     """File placements of k rooks that are not m-level rook placements.
 
     Empty for k <= 1: a single rook never conflicts.
@@ -179,6 +180,7 @@ def _keyer(
     ``movable`` says whether the last rook joins the level's movable
     columns or is its split's last fixed cell.  The rule is the module
     docstring's, read off the two least crowded conflicted levels."""
+    # counted here, not read from _row_counts: a wrong key must not bring matching wrong weights
     counts: dict[int, int] = {}
     for _, row in prefix:
         level = (row + m - 1) // m
@@ -195,13 +197,14 @@ def _keyer(
     return actions, (None if best is none else (best[1], False))
 
 
-def _row_factors(prefix: tuple[tuple[int, int], ...], m: int, top: int) -> list[int]:
-    # factors[r], rows 0..top: 1 - (prefix rooks in row r)*m, what a last
-    # rook in row r multiplies the prefix weight by
-    factors = [1] * (top + 1)
+def _row_counts(prefix: tuple[tuple[int, int], ...], m: int) -> tuple[dict, dict]:
+    rows: dict[int, int] = {}
+    levels: dict[int, int] = {}
     for _, row in prefix:
-        factors[row] -= m
-    return factors
+        rows[row] = rows.get(row, 0) + 1
+        level = (row + m - 1) // m
+        levels[level] = levels.get(level, 0) + 1
+    return rows, levels
 
 
 def _first_cells(level: int, fixed: Iterable, movable: tuple[int, ...], m: int) -> tuple:
@@ -306,9 +309,7 @@ def class_members(cls: CancellationClass) -> tuple[FilePlacement, ...]:
     )
 
 
-def reintroduction_sum(
-    placement: FilePlacement, column: int, level: int, m: int
-) -> int:
+def reintroduction_sum(placement: FilePlacement, column: int, level: int, m: int) -> int:
     """Weights summed over the m ways to add a rook to ``column`` in ``level``.
 
     ``column`` must be free in ``placement`` and meet the level in all m
@@ -380,11 +381,11 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     """Partition the non-rook file placements of k rooks and check it.
 
     One walk over the prefixes of k - 1 rooks tallies each non-rook
-    placement once under its key, in O(1) per last-rook cell, and one
-    loop over the sorted keys then checks each class's count and sum, as
-    the module docstring describes.  A placement outside the class its
-    key names is a witness and is not tallied.  Only a failed count walks
-    again, to name one.  Requires a singleton board.
+    placement once under its key, as the module docstring describes: in
+    O(k) per prefix whatever the board's height, then O(1) per fixed last
+    rook or per level span, weighed at once by ``m * (1 - t)``.  Only a
+    failed count walks again, to name a witness.  Requires a singleton
+    board.
     """
     _check_m(m)
     _check_k(k)
@@ -404,7 +405,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         # the public weight, not _row_weight: a traced cover run must reach
         # rooktheory (perfbench's test_traced_run_accounts_for_every_layer)
         w = weight(FilePlacement._trusted(board, prefix), m)
-        factors = _row_factors(prefix, m, heights[-1])
+        rows, levels = _row_counts(prefix, m)
         splits: dict[int, tuple[_Key, bool]] = {}  # canonical level -> (split, member)
         for c in range(first, n + 1):
             for level, start, stop in spans[c - 1]:  # one level of column c at a time
@@ -418,8 +419,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
                     split = splits[canonical] = key, _in_class(prefix, key, m)
                 (canonical, fixed, columns), member = split
                 count += stop - start
-                span = factors[start:stop]
-                ws = w * sum(span)
+                ws = w * ((stop - start) - m * levels.get(level, 0))
                 total += ws
                 if not member or movable and canonical != level:
                     witness = witness or _cells_string(prefix + ((c, start),))
@@ -429,11 +429,11 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
                     tally[0] += stop - start
                     tally[1] += ws
                 else:  # one key per row, the last rook its last fixed cell
-                    for r, factor in enumerate(span, start):
+                    for r in range(start, stop):
                         key = canonical, fixed + ((c, r),), columns
                         tally = tallies.get(key) or tallies.setdefault(key, [0, 0])
                         tally[0] += 1
-                        tally[1] += w * factor
+                        tally[1] += w * (1 - m * rows.get(r, 0))
 
     sizes = [m**j for j in range(min(k, n) + 1)]  # class sizes m**j; _in_class caps j at k <= n
     tallied, incomplete, nonzero_witness, classes, sums = 0, set(), None, [], []

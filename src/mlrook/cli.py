@@ -212,6 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # exact integers have no digit limit: lift CPython's int/str conversion
+    # cap (none before 3.10.7) for this run, and give in-process callers theirs back
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         for name, read in _READERS.items():
             text = getattr(args, name, None)
@@ -221,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def entry() -> None:

@@ -532,6 +532,20 @@ class TestVerifyCover:
         with pytest.raises(NonSingletonBoardError):
             verify_cover(make_board((1, 2, 2, 3)), 3, 2)
 
+    def test_prefix_memory_does_not_grow_with_the_board_height(self):
+        # one prefix, whose last rook sweeps a level of 10**6 rows: its
+        # weights come from the prefix's own rooks, not a table of every row
+        tracemalloc.start()
+        try:
+            report = verify_cover(make_board((1, 10**6)), 10**6, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert report.nonrook_count == 10**6
+        assert len(report.classes) == 1
+        assert peak < 1024 * 1024, peak
+
     def test_m1_all_weights_vanish(self):
         report = verify_cover(make_board((2, 2)), 1, 2)
         assert report.ok
@@ -596,7 +610,7 @@ class TestVerifyCover:
         monkeypatch.setattr(
             cancellation, "weight", lambda placement, m: 1 if placement.cells[0][1] == 1 else -1
         )
-        monkeypatch.setattr(cancellation, "_row_factors", lambda prefix, m, top: [1] * (top + 1))
+        monkeypatch.setattr(cancellation, "_row_counts", lambda prefix, m: ({}, {}))
         report = verify_cover(make_board((2, 2)), 2, 2)
         assert report.well_defined and report.disjoint_cover and report.total_zero
         assert not report.class_sums_zero
@@ -606,7 +620,7 @@ class TestVerifyCover:
     def test_broken_total_is_caught(self, monkeypatch):
         # one weight per placement feeds both the total and its class sum
         monkeypatch.setattr(cancellation, "weight", lambda placement, m: 1)
-        monkeypatch.setattr(cancellation, "_row_factors", lambda prefix, m, top: [1] * (top + 1))
+        monkeypatch.setattr(cancellation, "_row_counts", lambda prefix, m: ({}, {}))
         report = verify_cover(make_board((2, 2)), 2, 2)
         assert report.well_defined and report.disjoint_cover
         assert not report.total_zero

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
@@ -225,6 +226,33 @@ class TestNumbers:
         assert len(values) == 1201
         assert values[:3] == [1, 1200, 0]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_answers_have_no_digit_limit(self, capsys, fmt):
+        # r_2 = H(H - 1) = 10**4400 - 10**2200 has 4,400 digits, past CPython's
+        # int/str conversion limit; the caller's limit is back after the run
+        height = "1" + "0" * 2200
+        r2 = "9" * 2200 + "0" * 2200
+        before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(
+            capsys, "numbers", "--board", f"{height},{height}", "--m", "1", "--kind", "rook",
+            "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert out.endswith(f'"values": [1, 2{height[1:]}, {r2}]}}\n')
+        else:
+            assert out == f"k,value\n0,1\n1,2{height[1:]}\n2,{r2}\n"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+
+    def test_height_past_the_digit_limit_is_read(self, capsys):
+        # a height of 5,001 digits, one column: r_1 is the height itself
+        height = "1" + "0" * 5000
+        code, out, err = run_cli(
+            capsys, "numbers", "--board", height, "--m", "1", "--kind", "rook", "--format", "csv"
+        )
+        assert (code, err) == (0, "")
+        assert out == f"k,value\n0,1\n1,{height}\n"
+
 
 class TestPoly:
     def test_gjw_power(self, capsys):
@@ -350,7 +378,7 @@ class TestPartition:
         monkeypatch.setattr(
             cancellation, "weight", lambda placement, m: 1 if placement.cells[0][1] == 1 else -1
         )
-        monkeypatch.setattr(cancellation, "_row_factors", lambda prefix, m, top: [1] * (top + 1))
+        monkeypatch.setattr(cancellation, "_row_counts", lambda prefix, m: ({}, {}))
         code, out, _ = run_cli(capsys, "partition", "--board", "2,2", "--m", "2")
         assert code == 1
         summary = json.loads(out.splitlines()[-1])
