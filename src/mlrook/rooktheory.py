@@ -29,6 +29,8 @@ row run by row run.  Neither reads a product form or the recurrence, so
 each is a count the products are checked against, not their own
 induction: the column sweep is the independent side of every p_m check,
 and the row sweep that of ``verify_factorizations``' ``file`` check.
+Only those checks, ``m_level_rook_poly`` and ``equiv``'s printed rook
+vectors read the column sweep; equivalence compares sorted zone roots.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .boards import (
     _fits_levels,
     is_singleton,
     level_numbers,
-    zones,
 )
 from .ffpoly import FFPoly, expand_roots
 from .placements import FilePlacement, _column_recurrence, _row_sweep, rook_numbers
@@ -117,16 +118,24 @@ def br_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
 
 def zone_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """Zone root constants: per column the m-floor shifted by ``-(i-1)*m``,
-    with the zone remainder added on the last column of each zone."""
+    with the zone remainder added on the last column of each zone.
+
+    One pass, with no ``Zone`` record: a new m-floor starts a new zone,
+    a column in the same zone takes the running remainder over from the
+    one before it, so it ends on the zone's last column; then a sort."""
     _check_m(m)
-    constants = []
-    for zone in zones(board, m):
-        for i in range(zone.start, zone.end + 1):
-            c = zone.floor - (i - 1) * m
-            if i == zone.end:
-                c += zone.remainder
-            constants.append(c)
-    return tuple(sorted(constants))
+    roots: list[int] = []
+    floor = None
+    for i, h in enumerate(board.heights):
+        r = h % m
+        if h - r != floor:
+            floor, rest = h - r, r
+        else:  # same zone: its remainder moves on to this column
+            roots[-1] -= rest
+            rest += r
+        roots.append(floor + rest - m * i)
+    roots.sort()
+    return tuple(roots)
 
 
 def level_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
@@ -266,12 +275,13 @@ def verify_factorizations(
 
 
 def m_level_equivalent(b1: FerrersBoard, b2: FerrersBoard, m: int) -> bool:
-    """Same column count and identical m-level rook numbers.
+    """Same column count and identical m-level rook numbers, in O(n log n).
 
-    For equal column counts this is the same as having equal p_m.
-    """
+    The ff(x, n-k, m) form a basis, so at equal n equal rook numbers mean
+    equal p_m = prod(x + c) over the zone roots c; and two monic products
+    of linear factors are equal exactly when their root multisets are."""
     _check_m(m)
-    return b1.n == b2.n and rook_numbers(b1, m) == rook_numbers(b2, m)
+    return b1.n == b2.n and zone_roots(b1, m) == zone_roots(b2, m)
 
 
 def census_level_numbers(

@@ -1,11 +1,12 @@
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlrook.boards import AmbientSizeError, is_singleton, level_numbers, make_board
+from mlrook.boards import AmbientSizeError, is_singleton, level_numbers, make_board, zones
 from mlrook.ffpoly import FFPoly, expand_roots
 from mlrook.placements import (
     FilePlacement,
@@ -191,6 +192,38 @@ class TestSingletonTheoremAtScale:
             assert_singleton_theorem(board, m)
 
 
+def equivalence_families():
+    """(m, n, boards): every board of n <= 4 columns with heights up to
+    m*n + 2m, so boards taller than their n ambient levels come in too."""
+    for m in (1, 2, 3):
+        for n in range(5):
+            yield m, n, list(boards_up_to(n, m * n + 2 * m, min_columns=n))
+
+
+def zone_roots_from_records(board, m):
+    # the zone form built from ``zones()`` records, one constant per column
+    constants = []
+    for zone in zones(board, m):
+        for i in range(zone.start, zone.end + 1):
+            c = zone.floor - (i - 1) * m
+            if i == zone.end:
+                c += zone.remainder
+            constants.append(c)
+    return tuple(sorted(constants))
+
+
+def level_move_pair(n, m):
+    """Two n-column boards, m >= 2, with equal level numbers: columns come
+    in pairs of height m*q + 1, and b moves the cell in row m*q + 1 of one
+    middle column to row m*q + 2 of the next, inside level q + 1."""
+    a = [m * (i // 2) + 1 for i in range(n)]
+    b = list(a)
+    i = 2 * (n // 4)
+    b[i] -= 1
+    b[i + 1] += 1
+    return make_board(a), make_board(b)
+
+
 class TestRoots:
     def test_gjw_example(self):
         assert gjw_roots(make_board((1, 1, 2, 4))) == (0, 0, 1, 1)
@@ -249,6 +282,18 @@ class TestRoots:
                     assert type(roots) is tuple and len(roots) == n, (board, m)
                     assert all(type(c) is int for c in roots), (board, m)
                     assert list(roots) == sorted(roots), (board, m)
+
+    def test_one_pass_matches_the_zone_records(self):
+        # the zone boundary rule is stated twice, in zones() and in
+        # zone_roots' pass; the two must build the same constants
+        for m, n, boards in equivalence_families():
+            for board in boards:
+                assert zone_roots(board, m) == zone_roots_from_records(board, m), (board, m)
+        big = 10**12
+        for heights, m in [((), 1), ((), 5), ((big,), 1), ((big,), 7), ((big,), big),
+                           ((1, big - 1, big, big, big + 1), 3), ((1, big, big), big)]:
+            board = make_board(heights)
+            assert zone_roots(board, m) == zone_roots_from_records(board, m), (heights, m)
 
     def test_zone_and_level_same_multiset(self):
         for board in boards_up_to(4, 6):
@@ -500,6 +545,47 @@ class TestEquivalence:
             for m in (1, 2):
                 poly_equal = m_level_rook_poly(a, m) == m_level_rook_poly(b, m)
                 assert m_level_equivalent(a, b, m) == poly_equal
+
+    def test_same_partition_as_the_rook_numbers(self):
+        # rook_numbers is the oracle: on each family the boards group the
+        # same way by rook numbers as by zone roots, and m_level_equivalent
+        # joins each board to its class and no class to the next
+        for m, n, boards in equivalence_families():
+            by_rooks, by_roots = defaultdict(set), defaultdict(set)
+            for board in boards:
+                by_rooks[rook_numbers(board, m)].add(board)
+                by_roots[zone_roots(board, m)].add(board)
+            classes = {frozenset(c) for c in by_rooks.values()}
+            assert classes == {frozenset(c) for c in by_roots.values()}, (m, n)
+            firsts = [min(c, key=lambda b: b.heights) for c in by_rooks.values()]
+            for first, cls in zip(firsts, by_rooks.values()):
+                assert all(m_level_equivalent(first, board, m) for board in cls), (first, m)
+            for a, b in zip(firsts, firsts[1:]):
+                assert not m_level_equivalent(a, b, m), (a, b, m)
+
+    def test_no_sweep_at_scale(self, monkeypatch):
+        import mlrook.ffpoly as ff
+        import mlrook.placements as pl
+        import mlrook.rooktheory as rt
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("m_level_equivalent ran a sweep or an expansion")
+
+        for module in (rt, pl, ff):
+            for name in ("rook_numbers", "_column_recurrence", "_row_sweep", "expand_roots"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        a, b = level_move_pair(2000, 3)
+        assert a != b and level_numbers(a, 3) == level_numbers(b, 3)
+        assert m_level_equivalent(a, b, 3)
+        more = make_board(a.heights[:-1] + (a.heights[-1] + 1,))
+        assert not m_level_equivalent(a, more, 3)  # r_1 is the cell count
+
+    def test_level_move_pair_is_equivalent_by_rook_numbers(self):
+        # the pair above, small enough to count
+        for m in (2, 3):
+            a, b = level_move_pair(12, m)
+            assert rook_numbers(a, m) == rook_numbers(b, m), m
 
 
 class TestCensus:
