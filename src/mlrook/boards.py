@@ -20,8 +20,8 @@ All values are immutable and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable
+from itertools import accumulate, starmap
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "AmbientSizeError",
@@ -54,11 +54,6 @@ def _check_int(name: str, value: int, low: int | None = None) -> None:
 
 def _check_m(m: int) -> None:
     _check_int("block size m", m, 1)
-
-
-def _m_floor(value: int, m: int) -> int:
-    # largest multiple of m that is at most the non-negative value
-    return value - value % m
 
 
 def _rows_of_level(level: int, m: int) -> range:
@@ -155,25 +150,30 @@ class Zone:
     remainder: int
 
 
+def _zone_runs(heights: Sequence[int], m: int) -> Iterator[tuple[int, int, int, int]]:
+    # each zone's (start, end, floor, remainder), Zone's fields, in one pass:
+    # a column whose m-floor differs from its left neighbour's opens a zone
+    start, floor, rest = 1, None, 0
+    for i, h in enumerate(heights, start=1):
+        r = h % m
+        if h - r == floor:
+            rest += r
+            continue
+        if floor is not None:
+            yield start, i - 1, floor, rest
+        start, floor, rest = i, h - r, r
+    if floor is not None:
+        yield start, len(heights), floor, rest
+
+
 def zones(board: FerrersBoard, m: int) -> tuple[Zone, ...]:
     """Split columns into maximal runs of equal m-floor, left to right.
 
-    The returned zones are consecutive and cover columns 1..n exactly.
+    The returned zones are consecutive and cover columns 1..n exactly;
+    they are ``_zone_runs``' one pass over the heights, as records.
     """
     _check_m(m)
-    heights = board.heights
-    out: list[Zone] = []
-    i = 1
-    while i <= board.n:
-        floor = _m_floor(heights[i - 1], m)
-        j = i
-        remainder = 0
-        while j <= board.n and _m_floor(heights[j - 1], m) == floor:
-            remainder += heights[j - 1] - floor
-            j += 1
-        out.append(Zone(start=i, end=j - 1, floor=floor, remainder=remainder))
-        i = j
-    return tuple(out)
+    return tuple(starmap(Zone, _zone_runs(board.heights, m)))
 
 
 def _fits_levels(board: FerrersBoard, m: int) -> bool:
@@ -208,13 +208,11 @@ def level_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
 def is_singleton(board: FerrersBoard, m: int) -> bool:
     """Whether every partially filled level is entered by at most one column.
 
-    Formally: for each column i < n, a nonzero remainder ``b_i mod m``
-    forces the m-floor to strictly increase at column i+1.  The last
-    column is unconstrained.  Every board is a singleton board for m=1.
+    Formally: each zone's remainder lies in its last column alone, so a
+    column ending mid-level is followed by a strictly higher m-floor.
+    The last column is unconstrained.  Every board is a singleton board
+    for m=1.  Reads the zones from ``_zone_runs``' one pass.
     """
     _check_m(m)
     heights = board.heights
-    for i in range(board.n - 1):
-        if heights[i] % m and _m_floor(heights[i], m) >= _m_floor(heights[i + 1], m):
-            return False
-    return True
+    return all(rest == heights[end - 1] - floor for _, end, floor, rest in _zone_runs(heights, m))

@@ -470,17 +470,16 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
 def _in_class(cells: tuple[tuple[int, int], ...], key: _Key, m: int) -> bool:
     # whether the column-sorted cells are a member of the key's class: the
     # cells outside the movable columns are the fixed ones, and each movable
-    # column holds one rook, in the level's m rows (low < row <= low + m).
+    # column holds one rook in the key's level, by _split's (row + m - 1) // m.
     # verify_cover checks each prefix against its split with it
     level, fixed, movable = key
     if len(cells) != len(fixed) + len(movable):
         return False
-    low = m * (level - 1)
     rest = []
     for cell in cells:
         if cell[0] not in movable:
             rest.append(cell)
-        elif not low < cell[1] <= low + m:
+        elif (cell[1] + m - 1) // m != level:
             return False
     return tuple(rest) == fixed
 

@@ -11,7 +11,8 @@ m-falling basis.  Three root tuples give product forms for it:
   boards (for m = 1 this is the classical column factorization, valid
   on every Ferrers board);
 - zone form: per column, the m-floor shifted by ``-(i-1)*m``, plus the
-  zone's remainder on the zone's last column;
+  zone's remainder on the zone's last column, with the zones read from
+  ``boards._zone_runs``, the one statement of the zone rule;
 - level form ``l_j - m*(j-1)`` from the top-down level numbers.
 
 The zone and level forms expand to p_m on every Ferrers board.  The
@@ -43,6 +44,7 @@ from .boards import (
     _check_int,
     _check_m,
     _fits_levels,
+    _zone_runs,
     is_singleton,
     level_numbers,
 )
@@ -120,20 +122,13 @@ def zone_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """Zone root constants: per column the m-floor shifted by ``-(i-1)*m``,
     with the zone remainder added on the last column of each zone.
 
-    One pass, with no ``Zone`` record: a new m-floor starts a new zone,
-    a column in the same zone takes the running remainder over from the
-    one before it, so it ends on the zone's last column; then a sort."""
+    Reads the zones from ``boards._zone_runs``' one pass, with no ``Zone``
+    record: one range of constants per zone, then a sort."""
     _check_m(m)
     roots: list[int] = []
-    floor = None
-    for i, h in enumerate(board.heights):
-        r = h % m
-        if h - r != floor:
-            floor, rest = h - r, r
-        else:  # same zone: its remainder moves on to this column
-            roots[-1] -= rest
-            rest += r
-        roots.append(floor + rest - m * i)
+    for start, end, floor, rest in _zone_runs(board.heights, m):
+        roots.extend(range(floor - m * (start - 1), floor - m * end, -m))
+        roots[-1] += rest
     roots.sort()
     return tuple(roots)
 
@@ -279,9 +274,11 @@ def m_level_equivalent(b1: FerrersBoard, b2: FerrersBoard, m: int) -> bool:
 
     The ff(x, n-k, m) form a basis, so at equal n equal rook numbers mean
     equal p_m = prod(x + c) over the zone roots c; and two monic products
-    of linear factors are equal exactly when their root multisets are."""
+    of linear factors are equal exactly when their root multisets are.
+    Unequal cell counts, r_1, answer first, with no root built."""
     _check_m(m)
-    return b1.n == b2.n and zone_roots(b1, m) == zone_roots(b2, m)
+    return (b1.n == b2.n and b1.total_cells == b2.total_cells
+            and zone_roots(b1, m) == zone_roots(b2, m))
 
 
 def census_level_numbers(

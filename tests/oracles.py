@@ -53,6 +53,19 @@ def brute_level_numbers(board, m):
     return tuple(counts)
 
 
+def brute_zones(board, m):
+    """(start, end, floor, remainder) of each zone: itertools.groupby runs
+    the columns together on their m-floor h - h % m, so each group is a
+    maximal run of equal floor."""
+    out = []
+    start = 1
+    for floor, group in itertools.groupby(board.heights, key=lambda h: h - h % m):
+        group = list(group)
+        out.append((start, start + len(group) - 1, floor, sum(h - floor for h in group)))
+        start += len(group)
+    return tuple(out)
+
+
 def brute_census(levels, m):
     """Height vectors of every board whose top-down level numbers equal
     levels, by scanning all weakly increasing heights up to m*n (a cell

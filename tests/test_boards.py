@@ -12,7 +12,12 @@ from mlrook.boards import (
     zones,
 )
 from mlrook.placements import FilePlacement
-from oracles import boards_up_to, brute_level_numbers, brute_singleton_by_levels
+from oracles import (
+    boards_up_to,
+    brute_level_numbers,
+    brute_singleton_by_levels,
+    brute_zones,
+)
 
 
 class TestMakeBoard:
@@ -115,6 +120,21 @@ class TestZones:
                 total_remainder = sum(z.remainder for z in zs)
                 assert total_remainder == sum(h % m for h in board.heights)
 
+    def test_matches_groupby_oracle(self):
+        # the floors, and that each zone is maximal, against itertools.groupby
+        for board in boards_up_to(5, 7):
+            for m in (1, 2, 3):
+                assert zones(board, m) == tuple(Zone(*z) for z in brute_zones(board, m)), (
+                    board,
+                    m,
+                )
+        big = 10**12
+        for heights, m in [((big,), 1), ((big,), 7), ((big,), big),
+                           ((1, big - 1, big, big, big + 1), 3), ((1, big, big), big),
+                           ((big + 1, 2 * big), big), ((big, big + 1, big + 1), big)]:
+            board = make_board(heights)
+            assert zones(board, m) == tuple(Zone(*z) for z in brute_zones(board, m)), (heights, m)
+
 
 class TestLevelNumbers:
     def test_example_small(self):
@@ -156,6 +176,13 @@ class TestIsSingleton:
     def test_last_column_remainder_is_allowed(self):
         # the trailing column may end mid-level without spoiling the board
         assert is_singleton(make_board((2, 5)), 3) is True
+
+    def test_huge_block_size(self):
+        # levels of 10**12 rows, past what the per-level oracle can scan
+        big = 10**12
+        assert is_singleton(make_board((big + 1, 2 * big)), big) is True
+        assert is_singleton(make_board((big + 1, big + 2)), big) is False
+        assert is_singleton(make_board((big, big + 1, big + 1)), big) is False
 
     def test_matches_partial_intersection_rule(self):
         for board in boards_up_to(5, 10):

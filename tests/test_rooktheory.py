@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlrook.boards import AmbientSizeError, is_singleton, level_numbers, make_board, zones
+from mlrook.boards import AmbientSizeError, is_singleton, level_numbers, make_board
 from mlrook.ffpoly import FFPoly, expand_roots
 from mlrook.placements import (
     FilePlacement,
@@ -37,6 +37,7 @@ from oracles import (
     brute_rook_count,
     brute_weight,
     brute_weighted_file_number,
+    brute_zones,
 )
 
 FIG_FILE_BOARD = make_board((2, 2, 4, 4, 4, 4))
@@ -201,13 +202,14 @@ def equivalence_families():
 
 
 def zone_roots_from_records(board, m):
-    # the zone form built from ``zones()`` records, one constant per column
+    # the zone form built from the groupby oracle's zone records, one constant
+    # per column, so it shares no zone rule with the library's one pass
     constants = []
-    for zone in zones(board, m):
-        for i in range(zone.start, zone.end + 1):
-            c = zone.floor - (i - 1) * m
-            if i == zone.end:
-                c += zone.remainder
+    for start, end, floor, remainder in brute_zones(board, m):
+        for i in range(start, end + 1):
+            c = floor - (i - 1) * m
+            if i == end:
+                c += remainder
             constants.append(c)
     return tuple(sorted(constants))
 
@@ -284,8 +286,8 @@ class TestRoots:
                     assert list(roots) == sorted(roots), (board, m)
 
     def test_one_pass_matches_the_zone_records(self):
-        # the zone boundary rule is stated twice, in zones() and in
-        # zone_roots' pass; the two must build the same constants
+        # zone_roots reads the library's zone pass; the oracle's groupby
+        # records must give the same constants
         for m, n, boards in equivalence_families():
             for board in boards:
                 assert zone_roots(board, m) == zone_roots_from_records(board, m), (board, m)
