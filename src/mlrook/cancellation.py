@@ -127,6 +127,8 @@ def nonrook_file_placements(board: FerrersBoard, m: int, k: int) -> Iterator[Fil
     """
     _check_m(m)
     _check_k(k)
+    if k < 2:  # before the walk, which would visit every cell for nothing
+        return
     for cells in _walk(board.heights, k):
         if _class_key(cells, m) is not None:
             yield FilePlacement._trusted(board, cells)
@@ -312,21 +314,23 @@ def class_members(cls: CancellationClass) -> tuple[FilePlacement, ...]:
 def reintroduction_sum(placement: FilePlacement, column: int, level: int, m: int) -> int:
     """Weights summed over the m ways to add a rook to ``column`` in ``level``.
 
-    ``column`` must be free in ``placement`` and meet the level in all m
-    cells.  Equals ``weight(placement) * m * (1 - t)`` where t is the
-    number of rooks the placement already has in the level; in
-    particular one resident rook (t = 1) makes the sum vanish, which is
-    the two-rook cancellation, while t >= 2 scales the reduced weight
-    instead of cancelling.
+    A column that is taken, off the board or not full in the level is
+    refused as ``CancellationClass`` refuses it.  Summed by row in O(k^2)
+    whatever m: a new rook alone in its row keeps the weight.  Equals
+    ``weight(placement) * m * (1 - t)`` for t rooks of the placement in
+    the level: one resident rook (t = 1) makes the sum vanish, the
+    two-rook cancellation, while t >= 2 scales the reduced weight.
     """
     _check_m(m)
     _check_int("level", level, 1)
     _check_int("column", column)
-    if column in placement.occupied:
-        raise ValueError(f"column {column} is already occupied")
-    _check_full(placement.board, column, level, m)
     rows = _rows_of_level(level, m)
-    return sum(_row_weight(placement.cells + ((column, row),), m) for row in rows)
+    cells = placement.cells
+    FilePlacement(placement.board, cells + ((column, rows.start),))  # refuses it as a class does
+    _check_full(placement.board, column, level, m)
+    held = {row for _, row in cells if row in rows}  # the level's rows that hold rooks
+    return (m - len(held)) * _row_weight(cells, m) + sum(
+        _row_weight(cells + ((column, row),), m) for row in held)
 
 
 # CoverReport's four checks: its boolean fields, its summary keys, and what ok requires
@@ -435,16 +439,15 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
                         tally[0] += 1
                         tally[1] += w * (1 - m * rows.get(r, 0))
 
-    sizes = [m**j for j in range(min(k, n) + 1)]  # class sizes m**j; _in_class caps j at k <= n
     tallied, incomplete, nonzero_witness, classes, sums = 0, set(), None, [], []
     for key in sorted(tallies):
         walked, s = tallies[key]
         tallied += walked
-        if walked != sizes[len(key[2])]:
+        classes.append(CancellationClass._trusted(board, m, key))
+        if walked != classes[-1].size:
             incomplete.add(key)
         if s and nonzero_witness is None:  # the first class with a non-zero sum
             nonzero_witness = _cells_string(sorted(_first_cells(*key, m)))
-        classes.append(CancellationClass._trusted(board, m, key))
         sums.append(s)
     well_defined = tallied == count and not incomplete
     disjoint_cover = tallied == count == _nonrook_total(board, m, k)

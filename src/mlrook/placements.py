@@ -101,11 +101,6 @@ class FilePlacement:
         _set_cells(placement, cells)
         return placement
 
-    @property
-    def occupied(self) -> dict[int, int]:
-        """Mapping column -> row of the occupied cells."""
-        return {col: row for col, row in self.cells}
-
     def level_counts(self, m: int) -> dict[int, int]:
         """Number of rooks in each occupied level."""
         _check_m(m)
@@ -342,7 +337,7 @@ def _column_recurrence(heights: tuple[int, ...], t: int) -> tuple[int, ...]:
 
 
 def rook_numbers(board: FerrersBoard, m: int) -> tuple[int, ...]:
-    """All m-level rook numbers ``(r_0, ..., r_n)`` by exhaustive count.
+    """All m-level rook numbers ``(r_0, ..., r_n)``, in O(n^2) steps.
 
     One sweep over the columns.  Heights weakly increase, so a level
     wholly below a column top is whole in every later column, and holds

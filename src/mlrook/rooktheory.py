@@ -5,15 +5,15 @@ For an n-column Ferrers board and block size m the central object is
     p_m(B, x) = sum_k r_k * ff(x, n-k, m),
 
 the generating polynomial of the m-level rook numbers over the
-m-falling basis.  Three root tuples give product forms for it:
+m-falling basis.  Three root tuples give product forms for it, each
+the shift ``s_i - m*(i-1)`` of a sequence s, sorted (``_shifted``):
 
-- column form ``b_i - m*(i-1)``: expands to p_m exactly on singleton
+- column form, s the heights: expands to p_m exactly on singleton
   boards (for m = 1 this is the classical column factorization, valid
   on every Ferrers board);
-- zone form: per column, the m-floor shifted by ``-(i-1)*m``, plus the
-  zone's remainder on the zone's last column, with the zones read from
-  ``boards._zone_runs``, the one statement of the zone rule;
-- level form ``l_j - m*(j-1)`` from the top-down level numbers.
+- zone form, s each column's m-floor plus its zone's remainder on the
+  zone's last column, with the zones from ``boards._zone_runs``;
+- level form, s the top-down level numbers.
 
 The zone and level forms expand to p_m on every Ferrers board.  The
 column form, on every Ferrers board, expands instead to the generating
@@ -37,7 +37,8 @@ vectors read the column sweep; equivalence compares sorted zone roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping
+from operator import sub
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .boards import (
     FerrersBoard,
@@ -108,6 +109,11 @@ def gjw_roots(board: FerrersBoard) -> tuple[int, ...]:
     return br_roots(board, 1)
 
 
+def _shifted(values: Sequence[int], m: int) -> tuple[int, ...]:
+    # the root constants s_i - m*(i-1) of the sequence s, sorted
+    return tuple(sorted(map(sub, values, range(0, m * len(values), m))))
+
+
 def br_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
     """Column root constants ``b_i - m*(i-1)``.
 
@@ -115,7 +121,7 @@ def br_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
     singleton boards, but always equals the weighted-file polynomial.
     """
     _check_m(m)
-    return tuple(sorted(b - m * i for i, b in enumerate(board.heights)))
+    return _shifted(board.heights, m)
 
 
 def zone_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
@@ -123,14 +129,13 @@ def zone_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
     with the zone remainder added on the last column of each zone.
 
     Reads the zones from ``boards._zone_runs``' one pass, with no ``Zone``
-    record: one range of constants per zone, then a sort."""
+    record, into one floor per column for ``_shifted``."""
     _check_m(m)
-    roots: list[int] = []
+    floors: list[int] = []
     for start, end, floor, rest in _zone_runs(board.heights, m):
-        roots.extend(range(floor - m * (start - 1), floor - m * end, -m))
-        roots[-1] += rest
-    roots.sort()
-    return tuple(roots)
+        floors += [floor] * (end - start)
+        floors.append(floor + rest)
+    return _shifted(floors, m)
 
 
 def level_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
@@ -138,8 +143,7 @@ def level_roots(board: FerrersBoard, m: int) -> tuple[int, ...]:
 
     Requires the board to fit its n ambient levels (``b_n <= m*n``).
     """
-    levels = level_numbers(board, m)
-    return tuple(sorted(l - m * j for j, l in enumerate(levels)))
+    return _shifted(level_numbers(board, m), m)
 
 
 def _basis_sum_poly(values: Iterable[int], m: int) -> FFPoly:

@@ -20,7 +20,12 @@ from mlrook.cancellation import (
     reintroduction_sum,
     verify_cover,
 )
-from mlrook.placements import FilePlacement, _walk, enumerate_file_placements
+from mlrook.placements import (
+    FilePlacement,
+    InvalidPlacementError,
+    _walk,
+    enumerate_file_placements,
+)
 from mlrook.rooktheory import weight
 from oracles import (
     boards_up_to,
@@ -66,6 +71,12 @@ class TestNonRookStream:
         for m in (1, 2, 3):
             assert list(nonrook_file_placements(board, m, 0)) == []
             assert list(nonrook_file_placements(board, m, 1)) == []
+
+    def test_k_zero_and_one_skip_the_walk(self):
+        # a column of 10**12 cells: the stream is empty before any cell is walked
+        board = make_board((10**12,))
+        for k in (0, 1):
+            assert list(nonrook_file_placements(board, 2, k)) == []
 
     def test_complements_mlevel_count(self):
         from mlrook.placements import rook_numbers
@@ -371,7 +382,7 @@ class TestClassMembers:
         cls = canonical_class(placement, 3)
         members = class_members(cls)
         assert len(members) == 3
-        assert [p.occupied[2] for p in members] == [1, 2, 3]
+        assert [dict(p.cells)[2] for p in members] == [1, 2, 3]
 
     def test_members_share_class(self):
         for m in (2, 3):
@@ -443,7 +454,7 @@ class TestReintroduction:
                 top = (board.heights[-1] if board.n else 0) // m
                 for k in range(board.n + 1):
                     for fhat in enumerate_file_placements(board, k):
-                        occupied = fhat.occupied
+                        occupied = dict(fhat.cells)
                         for level in range(1, top + 1):
                             t = fhat.level_counts(m).get(level, 0)
                             for col in range(1, board.n + 1):
@@ -463,6 +474,24 @@ class TestReintroduction:
             reintroduction_sum(FilePlacement(board, ((2, 1),)), 3, 1, 3)
         with pytest.raises(NonSingletonBoardError, match=f"^{message}$"):
             CancellationClass(board, 3, 1, ((2, 1),), (3,))
+
+    @pytest.mark.parametrize(
+        "column, message", [(1, "column 1 is occupied twice"), (3, "cell 3:1 is not on the board")]
+    )
+    def test_bad_column_is_refused_as_a_class_refuses_it(self, column, message):
+        # a taken column and a column right of the board: the same error and message
+        board = make_board((2, 2))
+        with pytest.raises(InvalidPlacementError, match=f"^{message}$"):
+            reintroduction_sum(FilePlacement(board, ((1, 1),)), column, 1, 2)
+        with pytest.raises(InvalidPlacementError, match=f"^{message}$"):
+            CancellationClass(board, 2, 1, ((1, 1),), (column,))
+
+    def test_answers_at_huge_m(self):
+        # summed row by row: the m = 10**12 rows of the level are never visited
+        big = 10**12
+        board = make_board((big, big, big))
+        assert reintroduction_sum(FilePlacement(board, ((1, 1),)), 2, 1, big) == 0
+        assert reintroduction_sum(FilePlacement(board, ((1, 1), (3, 2))), 2, 1, big) == -big
 
     def test_precondition_violations(self):
         board = make_board((2, 4))
@@ -787,6 +816,19 @@ class TestVerifyCover:
         assert report.nonrook_count == 2
         assert not report.disjoint_cover
         assert report.witness == "1:1;2:1"
+
+    def test_count_mismatch_with_every_key_right_names_no_witness(self, monkeypatch):
+        # e_k - r_k one too many: every class is whole and every walked key
+        # agrees with is_m_level_rook_placement, so no placement is to blame
+        nonrook_total = cancellation._nonrook_total
+        monkeypatch.setattr(
+            cancellation, "_nonrook_total", lambda board, m, k: nonrook_total(board, m, k) + 1
+        )
+        report = verify_cover(make_board((1, 3, 4, 4)), 2, 3)
+        assert report.well_defined
+        assert not report.disjoint_cover
+        assert not report.ok
+        assert report.witness is None
 
     def test_nonrook_total_counts_placements(self):
         for board in boards_up_to(4, 6):

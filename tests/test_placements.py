@@ -74,7 +74,7 @@ class TestFilePlacementValue:
 
     def test_occupied_and_counts(self):
         p = FilePlacement(SQ4, FIG_ROOK_SQ4)
-        assert p.occupied == {1: 4, 2: 2, 3: 1, 4: 3}
+        assert dict(p.cells) == {1: 4, 2: 2, 3: 1, 4: 3}
         assert p.level_counts(2) == {2: 2, 1: 2}
 
     def test_non_integer_cells_rejected(self):
