@@ -95,13 +95,6 @@ class FerrersBoard:
     def total_cells(self) -> int:
         return sum(self.heights)
 
-    def column_height(self, column: int) -> int:
-        """Height of the 1-indexed ``column``."""
-        _check_int("column", column)
-        if not 1 <= column <= self.n:
-            raise ValueError(f"column {column} out of range 1..{self.n}")
-        return self.heights[column - 1]
-
     def __str__(self) -> str:
         return ",".join(str(h) for h in self.heights)
 

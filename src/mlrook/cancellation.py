@@ -57,14 +57,14 @@ cells outside the movable columns are the fixed cells, in order, and
 each movable rook lies in the level.  A movable last rook must lie in
 the key's level, checked once per level of a column; a fixed last rook
 lies right of every prefix column, so appended to a valid split it
-makes a member.  A placement that fails is a witness and is not
-tallied.  The walked placements are distinct, so a class whose tally
-reaches its size ``m ** len(movable)`` was walked in full, each member
-mapping back to it; its tallied weights must sum to zero.  One loop
-over the sorted keys checks both after the walk.  A key is a function,
-so the classes are disjoint, and they are exhaustive when the tallied
-count equals the non-rook count and ``e_k - r_k``: e_k, the number of
-file placements of k rooks, is the coefficient of ``x^(n-k)`` in
+makes a member.  A placement that fails is a witness and joins no tally;
+every other joins its key's.  The walked placements are distinct, so a
+class whose tally reaches its size ``m ** len(movable)`` was walked in
+full, each member mapping back to it; its weights must sum to zero.  One
+loop over the sorted keys checks both after the walk.  A key is a
+function, so the classes are disjoint, and with no witness they are
+exhaustive when the walked count equals ``e_k - r_k``: e_k, the number
+of file placements of k rooks, is the coefficient of ``x^(n-k)`` in
 ``prod(x + h_i)``, and r_k is the m-level rook number from the column
 sweep of ``placements.rook_numbers``, which counts from the heights
 alone and never reads a class key.  So a keyer that wrongly reads a
@@ -87,7 +87,7 @@ from .placements import (
     _prefixes,
     _walk,
     is_m_level_rook_placement,
-    rook_number,
+    rook_numbers,
 )
 from .rooktheory import _row_weight, weight
 
@@ -113,8 +113,8 @@ def _check_singleton(board: FerrersBoard, m: int) -> None:
 
 
 def _check_full(board: FerrersBoard, column: int, level: int, m: int) -> None:
-    # a column swept through the level must meet it in all m rows
-    if board.column_height(column) < m * level:
+    # a swept column meets the level in all m rows; callers have validated the column
+    if board.heights[column - 1] < m * level:
         raise NonSingletonBoardError(
             f"column {column} meets level {level} in fewer than {m} cells"
         )
@@ -242,14 +242,13 @@ class CancellationClass:
         cells = _first_cells(self.level, self.fixed_cells, movable, self.m)
         first = FilePlacement(self.board, cells)  # checks the board and cells, and sorts them
         movable = tuple(sorted(movable))
-        fixed = tuple(cell for cell in first.cells if cell[0] not in movable)
-        object.__setattr__(self, "fixed_cells", fixed)
-        object.__setattr__(self, "movable_columns", movable)
         for col in movable:
             _check_full(self.board, col, self.level, self.m)
-        key = (self.level, fixed, movable)
-        if _class_key(first.cells, self.m) != key:
+        key = _class_key(first.cells, self.m)  # its fixed cells: first's outside movable
+        if key is None or (key[0], key[2]) != (self.level, movable):
             raise ValueError(f"not the canonical class of its first member {first}")
+        object.__setattr__(self, "fixed_cells", key[1])
+        object.__setattr__(self, "movable_columns", movable)
 
     @classmethod
     def _trusted(cls, board: FerrersBoard, m: int, key: _Key) -> "CancellationClass":
@@ -439,18 +438,17 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
                         tally[0] += 1
                         tally[1] += w * (1 - m * rows.get(r, 0))
 
-    tallied, incomplete, nonzero_witness, classes, sums = 0, set(), None, [], []
+    incomplete, nonzero_witness, classes, sums = set(), None, [], []
     for key in sorted(tallies):
         walked, s = tallies[key]
-        tallied += walked
         classes.append(CancellationClass._trusted(board, m, key))
         if walked != classes[-1].size:
             incomplete.add(key)
         if s and nonzero_witness is None:  # the first class with a non-zero sum
             nonzero_witness = _cells_string(sorted(_first_cells(*key, m)))
         sums.append(s)
-    well_defined = tallied == count and not incomplete
-    disjoint_cover = tallied == count == _nonrook_total(board, m, k)
+    well_defined = witness is None and not incomplete
+    disjoint_cover = witness is None and count == _nonrook_total(board, m, k)
     if not (well_defined and disjoint_cover):
         witness = witness or _first_unaccounted(board, m, k, incomplete)
     witness = witness or nonzero_witness
@@ -489,13 +487,13 @@ def _in_class(cells: tuple[tuple[int, int], ...], key: _Key, m: int) -> bool:
 
 def _nonrook_total(board: FerrersBoard, m: int, k: int) -> int:
     # e_k - r_k, with e_k read off prod(x + h_i): each column takes one of
-    # its h_i rows (x^0) or stays empty (x^1)
+    # its h_i rows (x^0) or stays empty (x^1); k > n gives 0 for both
     n = board.n
     if k > n:
         return 0
     # the public expand_roots, not _column_recurrence: a traced cover run
     # must reach ffpoly (perfbench's test_traced_run_accounts_for_every_layer)
-    return expand_roots(board.heights).coeffs[n - k] - rook_number(board, m, k)
+    return expand_roots(board.heights).coeffs[n - k] - rook_numbers(board, m)[k]
 
 
 def _first_unaccounted(

@@ -293,7 +293,8 @@ def census_level_numbers(
     Builds them top level first: the columns already placed give m cells
     each, and new columns topping out in the level give the rest, 1..m
     cells each, added right to left in non-increasing parts so heights
-    stay sorted.  Every split is tried, so the answer is complete.
+    stay sorted.  A column reaching a level fills the levels below, so
+    only splits that lead to a board are tried; the answer is complete.
     Boards come back in lexicographic height order; the empty tuple is
     a valid (empty) answer.
     """
@@ -302,18 +303,23 @@ def census_level_numbers(
     for l in levels:
         _check_int("level number", l, 0)
     n = len(levels)
+    reach = [n] * n  # reach[j]: most columns reaching level n-j; each fills the levels below
+    for j in range(n - 2, -1, -1):
+        reach[j] = min(reach[j + 1], levels[j + 1] // m)
+    if any(count > m * most for count, most in zip(levels, reach)):
+        return ()
     found = []
     # (j, rest, cap, tops): level n-j needs rest more cells from new columns
     # of at most cap cells each; tops holds the placed heights right to left
     stack = [(-1, 0, m, ())]
     while stack:
         j, rest, cap, tops = stack.pop()
-        free = n - len(tops)
-        if rest == 0 and j + 1 == n:
-            found.append((0,) * free + tops[::-1])
-        elif rest == 0:  # level n-j is complete: open the one below it
-            stack.append((j + 1, levels[j + 1] - m * len(tops), m, tops))
-        elif 0 < rest <= cap * free:  # else the free columns cannot hold the rest
+        if rest:  # rest <= cap * free: the free columns can hold it
+            free = reach[j] - len(tops)
             for part in range(min(cap, rest), -(-rest // free) - 1, -1):
                 stack.append((j, rest - part, part, tops + (m * (n - 1 - j) + part,)))
+        elif j + 1 == n:
+            found.append((0,) * (n - len(tops)) + tops[::-1])
+        else:  # level n-j is complete: open the one below it
+            stack.append((j + 1, levels[j + 1] - m * len(tops), m, tops))
     return tuple(FerrersBoard(heights) for heights in sorted(found))

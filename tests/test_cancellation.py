@@ -476,10 +476,16 @@ class TestReintroduction:
             CancellationClass(board, 3, 1, ((2, 1),), (3,))
 
     @pytest.mark.parametrize(
-        "column, message", [(1, "column 1 is occupied twice"), (3, "cell 3:1 is not on the board")]
+        "column, message",
+        [
+            (1, "column 1 is occupied twice"),
+            (3, "cell 3:1 is not on the board"),
+            (0, "cell 0:1 is not on the board"),
+        ],
     )
     def test_bad_column_is_refused_as_a_class_refuses_it(self, column, message):
-        # a taken column and a column right of the board: the same error and message
+        # a taken column and a column right or left of the board: the same
+        # error and message, before _check_full reads the column's height
         board = make_board((2, 2))
         with pytest.raises(InvalidPlacementError, match=f"^{message}$"):
             reintroduction_sum(FilePlacement(board, ((1, 1),)), column, 1, 2)

@@ -600,6 +600,9 @@ class TestCensus:
         assert [b.heights for b in boards] == [(1, 2)]
         boards = census_level_numbers((3,), 10**9)
         assert [b.heights for b in boards] == [(3,)]
+        # the part sizes up to m = 10**12 are never tried one by one
+        boards = census_level_numbers((5 * 10**11, 10**12), 10**12)
+        assert [b.heights for b in boards] == [(0, 1_500_000_000_000)]
 
     def test_all_zero_levels(self):
         boards = census_level_numbers((0, 0, 0), 2)
@@ -612,6 +615,8 @@ class TestCensus:
 
     def test_no_match_is_empty(self):
         assert census_level_numbers((5, 0), 2) == ()
+        # the empty bottom levels admit no column, so no walk starts
+        assert census_level_numbers((10**6, 10**7, 2 * 10**6, 0, 0), 10**6) == ()
 
     def test_bad_levels_rejected(self):
         with pytest.raises(ValueError):
