@@ -313,16 +313,15 @@ def class_members(cls: CancellationClass) -> tuple[FilePlacement, ...]:
 def reintroduction_sum(placement: FilePlacement, column: int, level: int, m: int) -> int:
     """Weights summed over the m ways to add a rook to ``column`` in ``level``.
 
-    A column that is taken, off the board or not full in the level is
-    refused as ``CancellationClass`` refuses it.  Summed by row in O(k^2)
-    whatever m: a new rook alone in its row keeps the weight.  Equals
-    ``weight(placement) * m * (1 - t)`` for t rooks of the placement in
-    the level: one resident rook (t = 1) makes the sum vanish, the
-    two-rook cancellation, while t >= 2 scales the reduced weight.
+    A column that is not an integer, taken, off the board or not full in the
+    level is refused as ``CancellationClass`` refuses it.  Summed by row in
+    O(k^2) whatever m: a new rook alone in its row keeps the weight.  Equals
+    ``weight(placement) * m * (1 - t)`` for t rooks of the placement in the
+    level: one resident rook (t = 1) makes the sum vanish, the two-rook
+    cancellation, while t >= 2 scales the reduced weight.
     """
     _check_m(m)
     _check_int("level", level, 1)
-    _check_int("column", column)
     rows = _rows_of_level(level, m)
     cells = placement.cells
     FilePlacement(placement.board, cells + ((column, rows.start),))  # refuses it as a class does
@@ -390,9 +389,8 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     failed count walks again, to name a witness.  Requires a singleton
     board.
     """
-    _check_m(m)
     _check_k(k)
-    _check_singleton(board, m)
+    _check_singleton(board, m)  # checks m
 
     heights = board.heights
     n = len(heights)

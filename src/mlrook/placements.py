@@ -18,8 +18,8 @@ an odometer, ``_prefixes``, that keeps one (column, row) per rook
 instead of recursing, so it has no depth limit; it yields each prefix
 of k - 1 rooks with the first column left free.  ``_walk`` sweeps the
 last rook over the free cells to the prefix's right in one inner loop.
-Each column's one-cell tuples are memoised in groups, one per level, as
-the first sweep passes, so a later sweep skips a used level in one step.
+Each column's one-cell tuples are memoised in one group per level, built
+by the first sweep that finds the level free; a used level takes one step.
 ``cancellation.verify_cover`` reads the same odometer and handles each
 prefix's cells itself.  Streams are generated lazily.
 
@@ -208,9 +208,9 @@ def _walk(
     one inner loop, yielding the prefix plus that cell.  The memo holds
     each column as ``(level, one-tuples)`` groups, one per level, so a
     sweep skips a used level in one test; the file walk's whole column
-    is one group, and its ``used`` is empty.  The groups are built while
-    the column's first sweep yields, never ahead, so ``next()`` returns
-    at once on a very tall column.  k = 1 has no prefix and no memo.
+    is one group, and its ``used`` is empty.  The first sweep to find a
+    level free builds its group: a level every prefix holds costs nothing,
+    and ``next()`` answers at once on a tall column.  k = 1 keeps no memo.
     """
     if k == 0:
         yield ()
@@ -232,16 +232,19 @@ def _walk(
                 for level, low in enumerate(range(1, end, rows), start=1):
                     swept = []
                     memo.append((level, swept))
-                    free = level not in used
+                    if level in used:  # left empty, for the first sweep that finds it free
+                        continue
                     for r in range(low, min(low + rows, end)):
                         one = ((c, r),)
                         swept.append(one)
-                        if free:
-                            yield prefix + one
+                        yield prefix + one
                 groups[c] = memo
             else:
                 for level, swept in memo:
                     if level not in used:
+                        if not swept:  # left empty by the first sweep (m-level walks only)
+                            top = min(m * level, heights[c - 1])  # the level's last row here
+                            swept += [((c, r),) for r in range(m * level - m + 1, top + 1)]
                         for one in swept:
                             yield prefix + one
 

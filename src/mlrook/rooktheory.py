@@ -37,6 +37,7 @@ vectors read the column sweep; equivalence compares sorted zone roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from operator import sub
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -254,12 +255,7 @@ def verify_factorizations(
         raise ValueError(f"unknown checks: {sorted(unknown)}")
 
     forms = {**_FORMS, "rows": lambda board, m: _basis_sum_poly(_row_sweep(board.heights, m), m)}
-    polys: dict[str, FFPoly] = {}  # each form built once, when a check first needs it
-
-    def form(name: str) -> FFPoly:
-        if name not in polys:
-            polys[name] = forms[name](board, m)
-        return polys[name]
+    form = cache(lambda name: forms[name](board, m))  # each built when a check first needs it
 
     results: dict[str, bool | None] = {}
     details: dict[str, dict] = {}

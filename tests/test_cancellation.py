@@ -481,11 +481,14 @@ class TestReintroduction:
             (1, "column 1 is occupied twice"),
             (3, "cell 3:1 is not on the board"),
             (0, "cell 0:1 is not on the board"),
+            (True, "cell True:1 is not a pair of integers"),
+            ("2", "cell '2':1 is not a pair of integers"),
         ],
     )
     def test_bad_column_is_refused_as_a_class_refuses_it(self, column, message):
-        # a taken column and a column right or left of the board: the same
-        # error and message, before _check_full reads the column's height
+        # a taken column, a column right or left of the board and a column
+        # that is not an int: the same error and message, before _check_full
+        # reads the column's height
         board = make_board((2, 2))
         with pytest.raises(InvalidPlacementError, match=f"^{message}$"):
             reintroduction_sum(FilePlacement(board, ((1, 1),)), column, 1, 2)
@@ -508,11 +511,6 @@ class TestReintroduction:
             reintroduction_sum(fhat, 1, 2, 2)  # column misses level 2
         with pytest.raises(ValueError):
             reintroduction_sum(fhat, 3, 1, 2)  # no such column
-
-    def test_bool_column_rejected(self):
-        fhat = FilePlacement(make_board((4, 4)), ((2, 1),))
-        with pytest.raises(ValueError, match="not an integer"):
-            reintroduction_sum(fhat, True, 1, 2)
 
     @pytest.mark.parametrize("level", [True, 1.5, 0])
     def test_bad_level_rejected(self, level):
@@ -566,6 +564,17 @@ class TestVerifyCover:
     def test_rejects_non_singleton(self):
         with pytest.raises(NonSingletonBoardError):
             verify_cover(make_board((1, 2, 2, 3)), 3, 2)
+
+    @pytest.mark.parametrize("m", [0, True, 1.5])
+    def test_bad_m_is_refused_as_canonical_class_refuses_it(self, m):
+        # both read m through the singleton guard: the same error and message
+        board = make_board((2, 2))
+        with pytest.raises(ValueError, match="block size m") as cover:
+            verify_cover(board, m, 2)
+        with pytest.raises(ValueError, match="block size m") as key:
+            canonical_class(FilePlacement(board, ((1, 1), (2, 1))), m)
+        assert type(cover.value) is type(key.value)
+        assert str(cover.value) == str(key.value)
 
     def test_prefix_memory_does_not_grow_with_the_board_height(self):
         # one prefix, whose last rook sweeps a level of 10**6 rows: its

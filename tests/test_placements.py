@@ -342,6 +342,24 @@ class TestWalkSequence:
             tracemalloc.stop()
         assert peak < 64 * 1024, peak
 
+    def test_a_level_every_prefix_holds_is_never_built(self):
+        # r_2 = 0: both of column 1's rows hold column 2's one level, so the
+        # sweep skips it without building its 10**12 cells
+        board = make_board((2, 10**12))
+        assert next(enumerate_m_level_rook_placements(board, 10**12, 2), None) is None
+
+    def test_dead_level_memo_stays_empty(self):
+        # 10**5 prefixes in column 1, all in the one level of column 2, which
+        # the memo would hold as 10**5 one-tuples had any sweep built it
+        board = make_board((10**5, 10**5))
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in enumerate_m_level_rook_placements(board, 10**5, 2)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024, peak
+
 
 class TestNoDepthLimit:
     # the walker keeps one cell per placed rook instead of recursing per
