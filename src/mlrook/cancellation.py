@@ -28,13 +28,12 @@ yields them; ``CancellationClass.fixed_cells`` holds them too.  A class
 is checked through its first member, built in closed form whatever m.
 
 ``verify_cover`` checks the partition in one walk, keeping no set of
-placements.  ``placements._prefixes`` yields each prefix of k - 1 rooks,
-and the last rook sweeps the free cells to its right a level of a column
-at a time.  Per prefix, computed once in O(k): as ``(count, level)``, its
-two least crowded conflicted levels, which ``_keyer`` turns into the
-canonical level for a last rook in each level; its weight w, by the public
-``weight``; its rooks per row and per level, which ``_row_counts`` reads
-off its cells, never off a key; and, built lazily, the split
+placements.  Per prefix of k - 1 rooks from ``placements._prefixes``,
+computed once in O(k): as ``(count, level)``, its two least crowded
+conflicted levels, which ``_keyer`` turns into the canonical level for a
+last rook in each level; its weight w, by the public ``weight``; its rooks
+per row and per level, which ``_row_counts`` reads off its cells, never
+off a key; and, built lazily, the split
 ``(level, fixed cells, movable columns)`` of each level a key needs.  A
 last rook in a level L that the prefix holds joins L's movable columns
 when ``(count + 1, L)`` beats the least crowded other conflicted level, or
@@ -42,14 +41,15 @@ no other level is conflicted, so every row of L in that column shares one
 key.  Otherwise, and for a last rook in a level the prefix leaves empty,
 the least crowded other conflicted level is canonical and the last rook is
 its last fixed cell; with none, the placement is an m-level rook
-placement.  A last rook in row r weighs ``w * (1 - m * rows[r])``; over
-its column's s rows of L, ``w * (s - m * t)`` for the t prefix rooks in L,
-all in columns to the left, no taller: the reintroduction identity for a
-whole level.  So a level span or fixed cell is keyed and weighed in O(1)
-and added to its key's tally ``[members, weight sum]``, made when first
-seen.  ``_class_key``, behind ``canonical_class`` and the other public
-names, keys one placement the same way: ``_keyer`` and ``_split`` applied
-to its prefix and last rook.
+placement.  So the last rook visits the prefix's levels if none is
+conflicted, else every level of the tallest column.  In row r it weighs
+``w * (1 - m * rows[r])``; over its column's s rows of L,
+``w * (s - m * t)`` for the t prefix rooks in L, all to the left, no
+taller: the reintroduction identity for a whole level.  Each such span or
+fixed cell is keyed, weighed and tallied in O(1), so a prefix costs O(k)
+plus the level spans where it makes non-rook placements.  ``_class_key``,
+behind ``canonical_class`` and other public names, keys one placement the
+same way: ``_keyer`` and ``_split`` applied to its prefix and last rook.
 
 ``well_defined`` is still proved, with membership checked amortised.
 Each split is checked once against its prefix, in O(k): the prefix's
@@ -382,12 +382,13 @@ class CoverReport:
 def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     """Partition the non-rook file placements of k rooks and check it.
 
-    One walk over the prefixes of k - 1 rooks tallies each non-rook
-    placement once under its key, as the module docstring describes: in
-    O(k) per prefix whatever the board's height, then O(1) per fixed last
-    rook or per level span, weighed at once by ``m * (1 - t)``.  Only a
-    failed count walks again, to name a witness.  Requires a singleton
-    board.
+    One walk over the prefixes of k - 1 rooks on a singleton board tallies each
+    non-rook placement once under its key, as the module docstring describes.
+    The witness is the first walked placement that fails its membership check
+    (levels ascending, or a prefix's own left to right, a level's columns from
+    the right, each at its bottom row); else, after a failed count, the first
+    walked in an incomplete class or misread by its key; else the first member
+    of the first class, by key, whose sum is not zero.
     """
     _check_k(k)
     _check_singleton(board, m)  # checks m
@@ -397,10 +398,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
     tallies: dict[_Key, list[int]] = {}  # key -> [walked members, weight sum]
     count = total = 0
     witness: str | None = None
-    # each column's levels as (level, first row, last row + 1); only for a walk: heights may be big
-    spans = [[(low // m + 1, low + 1, min(low + m, h) + 1) for low in range(0, h, m)]
-             for h in (heights if 2 <= k <= n else ())]
-    # a single rook never conflicts; _prefixes yields nothing for k < 2
+    every_level = range(1, -(-max(heights, default=0) // m) + 1)  # the tallest column's
     for prefix, first, _ in _prefixes(heights, k):
         actions, elsewhere = _keyer(prefix, m)
         # the public weight, not _row_weight: a traced cover run must reach
@@ -408,29 +406,31 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         w = weight(FilePlacement._trusted(board, prefix), m)
         rows, levels = _row_counts(prefix, m)
         splits: dict[int, tuple[_Key, bool]] = {}  # canonical level -> (split, member)
-        for c in range(first, n + 1):
-            for level, start, stop in spans[c - 1]:  # one level of column c at a time
-                action = actions.get(level, elsewhere)
-                if action is None:  # m-level rook placements
-                    continue
-                canonical, movable = action
-                split = splits.get(canonical)
-                if split is None:
-                    key = _split(prefix, canonical, m)
-                    split = splits[canonical] = key, _in_class(prefix, key, m)
-                (canonical, fixed, columns), member = split
-                count += stop - start
-                ws = w * ((stop - start) - m * levels.get(level, 0))
+        for level in actions if elsewhere is None else every_level:
+            canonical, movable = actions.get(level, elsewhere)
+            split = splits.get(canonical)
+            if split is None:
+                key = _split(prefix, canonical, m)
+                split = splits[canonical] = key, _in_class(prefix, key, m)
+            (canonical, fixed, columns), member = split
+            low, t = m * (level - 1), m * levels.get(level, 0)
+            for c in range(n, first - 1, -1):
+                size = heights[c - 1] - low  # the level's rows in column c
+                if size <= 0:
+                    break  # heights weakly increase: no column to the left meets the level
+                size = m if size > m else size
+                count += size
+                ws = w * (size - t)
                 total += ws
                 if not member or movable and canonical != level:
-                    witness = witness or _cells_string(prefix + ((c, start),))
+                    witness = witness or _cells_string(prefix + ((c, low + 1),))
                 elif movable:  # every row of the level: one key
                     key = canonical, fixed, columns + (c,)
                     tally = tallies.get(key) or tallies.setdefault(key, [0, 0])
-                    tally[0] += stop - start
+                    tally[0] += size
                     tally[1] += ws
                 else:  # one key per row, the last rook its last fixed cell
-                    for r in range(start, stop):
+                    for r in range(low + 1, low + size + 1):
                         key = canonical, fixed + ((c, r),), columns
                         tally = tallies.get(key) or tallies.setdefault(key, [0, 0])
                         tally[0] += 1

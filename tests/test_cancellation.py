@@ -590,6 +590,20 @@ class TestVerifyCover:
         assert len(report.classes) == 1
         assert peak < 1024 * 1024, peak
 
+    def test_memory_does_not_grow_with_the_levels_of_rook_placements(self):
+        # a million levels of one row, all but one holding only m-level rook
+        # placements: the walk visits the prefix's one level, no table of all
+        tracemalloc.start()
+        try:
+            report = verify_cover(make_board((1, 10**6)), 1, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert report.nonrook_count == 1
+        assert len(report.classes) == 1
+        assert peak < 64 * 2**10, peak
+
     def test_m1_all_weights_vanish(self):
         report = verify_cover(make_board((2, 2)), 1, 2)
         assert report.ok
@@ -779,6 +793,39 @@ class TestVerifyCover:
             assert calls == {"_keyer": prefixes, "weight": prefixes, "_class_key": 0}, heights
             nonrook = sum(not is_mlevel_cells(cells, m) for cells in brute_file_cells(board, k))
             assert sum(cls.size for cls in report.classes) == report.nonrook_count == nonrook
+
+    def test_levels_visited_follow_the_output(self, monkeypatch):
+        # each level a prefix visits reads its action once: a prefix with no
+        # conflicted level visits only its own levels, a conflicted one all
+        visits = {}
+        real_keyer = cancellation._keyer
+
+        class CountingActions(dict):
+            def get(self, level, default=None):
+                visits[self.prefix] = visits.get(self.prefix, 0) + 1
+                return super().get(level, default)
+
+            def __getitem__(self, level):
+                visits[self.prefix] = visits.get(self.prefix, 0) + 1
+                return super().__getitem__(level)
+
+        def counting_keyer(prefix, m):
+            actions, elsewhere = real_keyer(prefix, m)
+            actions = CountingActions(actions)
+            actions.prefix = prefix
+            return actions, elsewhere
+
+        monkeypatch.setattr(cancellation, "_keyer", counting_keyer)
+        report = verify_cover(make_board((300, 300)), 1, 2)
+        assert report.ok and report.nonrook_count == 300
+        assert sum(visits.values()) <= 600, sum(visits.values())  # of 300 * 300 level spans
+
+        visits.clear()
+        report = verify_cover(make_board((2, 2, 3000)), 1, 3)
+        assert report.ok and report.nonrook_count == 6004
+        assert len(visits) == 4
+        assert sum(visits.values()) <= 6004 + 4, sum(visits.values())  # of 4 * 3000 spans
+        assert visits[(1, 1), (2, 1)] == visits[(1, 2), (2, 2)] == 3000
 
     def test_classes_equal_public_construction(self):
         # the trusted builder behind verify_cover and canonical_class
