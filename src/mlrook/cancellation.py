@@ -31,19 +31,19 @@ is checked through its first member, built in closed form whatever m.
 placements.  Per prefix of k - 1 rooks from ``placements._prefixes``,
 computed once in O(k): as ``(count, level)``, its two least crowded
 conflicted levels, which ``_keyer`` turns into the canonical level for a
-last rook in each level; its weight w, by the public ``weight``; its rooks
-per row and per level, which ``_row_counts`` reads off its cells, never
-off a key; and, built lazily, the split
-``(level, fixed cells, movable columns)`` of each level a key needs.  A
-last rook in a level L that the prefix holds joins L's movable columns
-when ``(count + 1, L)`` beats the least crowded other conflicted level, or
-no other level is conflicted, so every row of L in that column shares one
-key.  Otherwise, and for a last rook in a level the prefix leaves empty,
-the least crowded other conflicted level is canonical and the last rook is
-its last fixed cell; with none, the placement is an m-level rook
-placement.  So the last rook visits the prefix's levels if none is
-conflicted, else every level of the tallest column.  In row r it weighs
-``w * (1 - m * rows[r])``; over its column's s rows of L,
+last rook in each level, the last rook movable exactly when that level is
+its own; its weight w, by the public ``weight``; its rooks per row and per
+level, which ``_row_counts`` reads off its cells, never off a key; and,
+built lazily, the split ``(level, fixed cells, movable columns)`` of each
+level a key needs.  A last rook in a level L that the prefix holds joins
+L's movable columns when ``(count + 1, L)`` beats the least crowded other
+conflicted level, or no other level is conflicted, so every row of L in
+that column shares one key.  Otherwise, and for a last rook in a level the
+prefix leaves empty, the least crowded other conflicted level is canonical
+and the last rook is its last fixed cell; with none, the placement is an
+m-level rook placement.  So the last rook visits the prefix's levels if
+none is conflicted, else every level of the tallest column.  In row r it
+weighs ``w * (1 - m * rows[r])``; over its column's s rows of L,
 ``w * (s - m * t)`` for the t prefix rooks in L, all to the left, no
 taller: the reintroduction identity for a whole level.  Each such span or
 fixed cell is keyed, weighed and tallied in O(1), so a prefix costs O(k)
@@ -54,14 +54,14 @@ same way: ``_keyer`` and ``_split`` applied to its prefix and last rook.
 ``well_defined`` is still proved, with membership checked amortised.
 Each split is checked once against its prefix, in O(k): the prefix's
 cells outside the movable columns are the fixed cells, in order, and
-each movable rook lies in the level.  A movable last rook must lie in
-the key's level, checked once per level of a column; a fixed last rook
-lies right of every prefix column, so appended to a valid split it
-makes a member.  A placement that fails is a witness and joins no tally;
-every other joins its key's.  The walked placements are distinct, so a
-class whose tally reaches its size ``m ** len(movable)`` was walked in
-full, each member mapping back to it; its weights must sum to zero.  One
-loop over the sorted keys checks both after the walk.  A key is a
+each movable rook lies in the level.  A last rook is movable only when
+the key's level is its own, and a fixed last rook lies right of every
+prefix column, so appended to a valid split either makes a member.  A
+placement that fails is a witness and joins no tally; every other
+joins its key's.  The walked placements are distinct, so a class
+whose tally reaches its size ``m ** len(movable)`` was walked in full,
+each member mapping back to it; its weights must sum to zero.  One loop
+over the sorted keys checks both after the walk.  A key is a
 function, so the classes are disjoint, and with no witness they are
 exhaustive when the walked count equals ``e_k - r_k``: e_k, the number
 of file placements of k rooks, is the coefficient of ``x^(n-k)`` in
@@ -143,16 +143,20 @@ def _class_key(cells: tuple[tuple[int, int], ...], m: int) -> _Key | None:
     two rooks (an m-level rook placement).  The key ``verify_cover``
     tallies: ``_keyer`` reads the canonical level off the prefix for the
     last rook's level, and the last rook joins the prefix's ``_split``
-    as a movable column or as its last fixed cell."""
+    as a movable column when that level is its own, else as its last
+    fixed cell."""
     if len(cells) < 2:
         return None
     prefix, (c, r) = cells[:-1], cells[-1]
     actions, elsewhere = _keyer(prefix, m)
-    action = actions.get((r + m - 1) // m, elsewhere)
-    if action is None:
+    level = (r + m - 1) // m
+    canonical = actions.get(level, elsewhere)
+    if canonical is None:
         return None
-    level, fixed, columns = _split(prefix, action[0], m)
-    return (level, fixed, columns + (c,)) if action[1] else (level, fixed + ((c, r),), columns)
+    _, fixed, columns = _split(prefix, canonical, m)
+    if canonical == level:  # a movable last rook
+        return canonical, fixed, columns + (c,)
+    return canonical, fixed + ((c, r),), columns
 
 
 def _split(cells: tuple[tuple[int, int], ...], level: int, m: int) -> _Key:
@@ -173,15 +177,13 @@ def _split(cells: tuple[tuple[int, int], ...], level: int, m: int) -> _Key:
     return level, tuple(fixed), tuple(movable)
 
 
-def _keyer(
-    prefix: tuple[tuple[int, int], ...], m: int
-) -> tuple[dict[int, tuple[int, bool]], tuple[int, bool] | None]:
-    """``(canonical level, movable)`` of the prefix plus a last rook to its
-    right, for a last rook in each level the prefix holds, and the pair
-    for a last rook in any other level (None: an m-level rook placement).
-    ``movable`` says whether the last rook joins the level's movable
-    columns or is its split's last fixed cell.  The rule is the module
-    docstring's, read off the two least crowded conflicted levels."""
+def _keyer(prefix: tuple[tuple[int, int], ...], m: int) -> tuple[dict[int, int], int | None]:
+    """The canonical level of the prefix plus a last rook to its right,
+    for a last rook in each level the prefix holds, and the canonical
+    level for a last rook in any other level (None: an m-level rook
+    placement).  The last rook is movable exactly when the canonical
+    level is its own.  The rule is the module docstring's, read off the
+    two least crowded conflicted levels."""
     # counted here, not read from _row_counts: a wrong key must not bring matching wrong weights
     counts: dict[int, int] = {}
     for _, row in prefix:
@@ -195,8 +197,8 @@ def _keyer(
     actions = {}
     for level, count in counts.items():
         other = second if best[1] == level else best
-        actions[level] = (level, True) if (count + 1, level) < other else (other[1], False)
-    return actions, (None if best is none else (best[1], False))
+        actions[level] = level if (count + 1, level) < other else other[1]
+    return actions, (None if best is none else best[1])
 
 
 def _row_counts(prefix: tuple[tuple[int, int], ...], m: int) -> tuple[dict, dict]:
@@ -407,7 +409,7 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
         rows, levels = _row_counts(prefix, m)
         splits: dict[int, tuple[_Key, bool]] = {}  # canonical level -> (split, member)
         for level in actions if elsewhere is None else every_level:
-            canonical, movable = actions.get(level, elsewhere)
+            canonical = actions.get(level, elsewhere)
             split = splits.get(canonical)
             if split is None:
                 key = _split(prefix, canonical, m)
@@ -422,9 +424,9 @@ def verify_cover(board: FerrersBoard, m: int, k: int) -> CoverReport:
                 count += size
                 ws = w * (size - t)
                 total += ws
-                if not member or movable and canonical != level:
+                if not member:
                     witness = witness or _cells_string(prefix + ((c, low + 1),))
-                elif movable:  # every row of the level: one key
+                elif canonical == level:  # a movable last rook: every row of the level, one key
                     key = canonical, fixed, columns + (c,)
                     tally = tallies.get(key) or tallies.setdefault(key, [0, 0])
                     tally[0] += size

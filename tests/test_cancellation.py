@@ -152,6 +152,24 @@ class TestCanonicalLevel:
                         outcomes.add(key[0] == last)
         assert outcomes == {True, False}
 
+    def test_keyer_maps_levels_to_canonical_levels(self):
+        # on the family above, _keyer maps each level of the prefix, and any
+        # other level, to a level the prefix holds or to None, and the last
+        # rook is movable exactly when its level maps to itself
+        m = 2
+        for board in boards_up_to(5, 4, min_columns=5):
+            for k in range(2, 6):
+                for cells in _walk(board.heights, k):
+                    prefix, (c, r) = cells[:-1], cells[-1]
+                    actions, elsewhere = cancellation._keyer(prefix, m)
+                    held = {(row + m - 1) // m for _, row in prefix}
+                    assert set(actions) == held
+                    for value in (*actions.values(), elsewhere):
+                        assert value is None or type(value) is int and value in held, value
+                    key = brute_class_key(cells, m)
+                    last = (r + m - 1) // m
+                    assert (key is not None and c in key[2]) == (actions.get(last) == last), cells
+
     def test_public_key_reads_the_keyer(self, monkeypatch):
         # canonical_class and nonrook_file_placements key a placement by the
         # rule the tally reads, so a keyer that reads every placement of the
@@ -744,19 +762,24 @@ class TestVerifyCover:
         assert report.nonrook_count == 6
         assert report.witness == "1:1;2:1;3:1"
 
-    def test_movable_rook_outside_its_level_is_caught(self, monkeypatch):
-        # a keyer that makes a last rook in an empty level a movable rook of
-        # the prefix's level names a class the placement is not in: its row
-        # lies outside the key's level
+    def test_rook_placement_read_as_conflicted_is_caught(self, monkeypatch):
+        # a keyer that gives a prefix with no conflicted level a canonical
+        # level for a last rook in an empty level reads m-level rook
+        # placements as conflicted: each forms a whole one-member class, so
+        # only the count against e_k - r_k and the sums see them
         real_keyer = cancellation._keyer
 
-        def keyer_moving_every_rook(prefix, m):
-            actions, _ = real_keyer(prefix, m)
-            return actions, next(iter(actions.values()))
+        def keyer_conflicting_everywhere(prefix, m):
+            actions, elsewhere = real_keyer(prefix, m)
+            return actions, next(iter(actions.values())) if elsewhere is None else elsewhere
 
-        monkeypatch.setattr(cancellation, "_keyer", keyer_moving_every_rook)
+        monkeypatch.setattr(cancellation, "_keyer", keyer_conflicting_everywhere)
         report = verify_cover(make_board((4, 4)), 2, 2)
-        assert not report.well_defined
+        assert report.well_defined
+        assert not report.disjoint_cover
+        assert not report.class_sums_zero
+        assert not report.total_zero
+        assert not report.ok
         assert report.witness == "1:1;2:3"
 
     def test_each_placement_keyed_and_weighed_once(self, monkeypatch):
