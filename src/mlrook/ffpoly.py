@@ -10,9 +10,18 @@ carries a basis tag:
 
 Basis conversion goes through synthetic division by the monic basis
 polynomials (nodes 0, m, 2m, ...), which is exact over the integers in
-both directions.  Root expansion and the conversion back to the power
-basis share one multiply-by-(x + c) kernel that writes each output
-coefficient once.
+both directions.
+
+Root expansion packs the product into one integer, its value at
+x = 2**w, so each root (x + c) is one shift and one small multiply-add
+with no object per coefficient.  The slot width w holds the bit length
+of the coefficient bound prod(1 + |c_i|), capped at ``_PACKED_BITS``,
+plus a sign bit, in whole bytes.  Roots are packed while the bound of
+those packed so far stays below 2**(w - 1); the coefficients are read
+back slot by slot with a signed borrow, and the remaining roots go
+through the coefficient-wise multiply-by-(x + c) kernel that
+``to_power`` also uses.  Past about a thousand bits a slot, packing is
+slower than that kernel, hence the cap.
 """
 
 from __future__ import annotations
@@ -26,6 +35,9 @@ __all__ = [
     "FFPoly",
     "expand_roots",
 ]
+
+# expand_roots sizes its packed slots for a bound of at most this many bits
+_PACKED_BITS = 1024
 
 
 def _mul_linear(coeffs: list[int], constant: int) -> list[int]:
@@ -134,8 +146,32 @@ def expand_roots(roots: Iterable[int]) -> FFPoly:
     The empty product gives the constant 1.  Permuting the roots cannot
     change the result.
     """
-    acc = [1]
+    roots = tuple(roots)
+    bound = 1  # no coefficient's absolute value exceeds it
     for c in roots:
         _check_int("root constant", c)
+        bound *= 1 + abs(c)
+    size = min(bound.bit_length(), _PACKED_BITS) // 8 + 1  # bytes a slot
+    width = 8 * size
+    half = 1 << (width - 1)
+    # the product of the first `count` roots, evaluated at x = 2**width
+    packed, partial, count = 1, 1, 0
+    for c in roots:
+        partial *= 1 + abs(c)  # the bound of the product so far
+        if partial >= half:
+            break
+        packed = (packed << width) + c * packed
+        count += 1
+    # a slot read as a signed number is its coefficient, less one when the
+    # slot below it reads negative and so borrowed from it; no coefficient
+    # reaches half, so the reading cannot wrap
+    data = packed.to_bytes(size * count + 1, "little", signed=True)
+    acc, borrow = [], 0
+    for i in range(0, size * count, size):
+        slot = int.from_bytes(data[i : i + size], "little", signed=True)
+        acc.append(slot + borrow)
+        borrow = slot < 0
+    acc.append(1)  # the product is monic
+    for c in roots[count:]:
         acc = _mul_linear(acc, c)
     return FFPoly(tuple(acc), None)

@@ -85,6 +85,19 @@ def m_falling_factorial(value, k, m):
     return math.prod(value - m * i for i in range(k))
 
 
+def brute_expand(roots):
+    """Power-basis coefficients of ``prod(x + c)`` over roots, low to high,
+    by schoolbook multiplication, one factor (x + c) at a time."""
+    coeffs = [1]
+    for c in roots:
+        out = [0] * (len(coeffs) + 1)
+        for k, a in enumerate(coeffs):
+            out[k] += c * a
+            out[k + 1] += a
+        coeffs = out
+    return tuple(coeffs)
+
+
 def poly_eval(poly, x):
     """Exact value of an FFPoly at an integer point, respecting its basis:
     Horner over the power basis, or over the nodes 0, m, 2m, ... of the

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlrook import ffpoly
 from mlrook.ffpoly import FFPoly, expand_roots
-from oracles import m_falling_factorial, poly_eval
+from oracles import brute_expand, m_falling_factorial, poly_eval
 
 
 def ff(value, k, m):
@@ -77,26 +78,92 @@ class TestExpandRoots:
             expand_roots(roots)
 
 
-# 400 root constants of the size the poly workload reaches, with zeros
-# and a repeated constant among them
+class TestPackedExpansion:
+    """expand_roots packs coefficients into slots sized for a bound of at
+    most ffpoly._PACKED_BITS bits, then finishes coefficient by
+    coefficient.  A narrow cap moves that switch onto small random inputs."""
+
+    @pytest.mark.parametrize("bits", [8, 16, 64])
+    @given(st.lists(st.integers(-5, 5) | st.integers(-(2**70), 2**70), max_size=24))
+    @settings(max_examples=150)
+    def test_narrow_cap_matches_schoolbook(self, bits, roots):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ffpoly, "_PACKED_BITS", bits)
+            assert expand_roots(roots).coeffs == brute_expand(roots)
+
+    def test_first_root_wider_than_a_slot(self):
+        # the product is past the cap before any root is packed
+        roots = (2**1100, -3, 0, 2**1100 + 1, 5)
+        assert expand_roots(roots).coeffs == brute_expand(roots)
+
+    @pytest.mark.parametrize("n", range(1020, 1036))
+    def test_binomial_rows_across_the_cap(self, n):
+        # (x + 1)^n has bound 2**n: rows up to n = 1,030 pack whole, and at
+        # n = 1,031 to 1,035 the switch leaves the last 1 to 5 roots to the
+        # tail; (x - 1)^n alternates signs, so every other slot borrows
+        row = [math.comb(n, k) for k in range(n + 1)]
+        assert expand_roots((1,) * n).coeffs == tuple(row)
+        signed = [(-1) ** (n - k) * c for k, c in enumerate(row)]
+        assert expand_roots((-1,) * n).coeffs == tuple(signed)
+
+    def test_zero_roots(self):
+        assert expand_roots((0,) * 7).coeffs == (0,) * 7 + (1,)
+        roots = (0, -1, 0, 2**40, 0)
+        assert expand_roots(roots).coeffs == brute_expand(roots)
+
+    def test_bad_root_refused_before_expansion(self):
+        # a one-shot generator is read once; the bad root after a wide one is
+        # refused before the coefficient-wise kernel runs at all
+        def kernel(coeffs, constant):
+            raise AssertionError("expansion ran before the roots were checked")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ffpoly, "_mul_linear", kernel)
+            roots = (c for c in (2**1100, 1, "a"))
+            with pytest.raises(ValueError, match="root constant .* is not an integer"):
+                expand_roots(roots)
+
+
+# 400 root constants spanning +-10**6, far wider than the poly workload's,
+# with zeros and a repeated constant among them: their bound prod(1 + |c|)
+# is about 7,000 bits and passes the 1,024-bit packing cap within 60 roots
 BIG_RNG = random.Random(2006)
 BIG_ROOTS = [BIG_RNG.randint(-10**6, 10**6) for _ in range(380)] + [0] * 10 + [7] * 10
 BIG_RNG.shuffle(BIG_ROOTS)
 
+# 400 root constants of the size the poly workload reaches (its roots lie
+# within +-m*n): mostly small, ten near +-1,600, and zeros; their bound
+# prod(1 + |c|) is about 1,400 bits and crosses the 1,024-bit packing cap
+# about three quarters of the way through
+POLY_RNG = random.Random(1975)
+POLY_ROOTS = [POLY_RNG.randint(-24, 24) for _ in range(380)] + [
+    POLY_RNG.choice((-1, 1)) * POLY_RNG.randint(1000, 1600) for _ in range(10)
+] + [0] * 10
+POLY_RNG.shuffle(POLY_ROOTS)
+
 
 class TestLargeExpansion:
+    roots = BIG_ROOTS
+
     def test_expand_matches_direct_product(self):
-        p = expand_roots(BIG_ROOTS)
+        p = expand_roots(self.roots)
         assert len(p.coeffs) == 401 and p.coeffs[0] == 0 and p.coeffs[-1] == 1
         for x in (-7, -2, 0, 3, 10**6 + 1):
-            assert poly_eval(p, x) == math.prod(x + c for c in BIG_ROOTS)
+            assert poly_eval(p, x) == math.prod(x + c for c in self.roots)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_round_trip(self, m):
-        p = expand_roots(BIG_ROOTS)
+        p = expand_roots(self.roots)
         q = p.to_mfalling(m)
         assert q.m == m and len(q.coeffs) == 401
         assert q.to_power() == p
+
+    def test_matches_schoolbook(self):
+        assert expand_roots(self.roots).coeffs == brute_expand(self.roots)
+
+
+class TestPolySizedExpansion(TestLargeExpansion):
+    roots = POLY_ROOTS
 
 
 class TestFFPolyBasics:
