@@ -20,8 +20,10 @@ plus a sign bit, in whole bytes.  Roots are packed while the bound of
 those packed so far stays below 2**(w - 1); the coefficients are read
 back slot by slot with a signed borrow, and the remaining roots go
 through the coefficient-wise multiply-by-(x + c) kernel that
-``to_power`` also uses.  Past about a thousand bits a slot, packing is
-slower than that kernel, hence the cap.
+``to_power`` also uses.  Packing every root, with no cap, was faster
+than that kernel up to about 1,500 bits a slot and slower from about
+2,000; on the poly workload's expansions, caps from 768 to 1,280 bits
+tied as the fastest.
 """
 
 from __future__ import annotations
@@ -147,24 +149,22 @@ def expand_roots(roots: Iterable[int]) -> FFPoly:
     change the result.
     """
     roots = tuple(roots)
-    bound = 1  # no coefficient's absolute value exceeds it
+    # a capped slot's sign bit; a bound that fits the cap stays below it too
+    limit = 1 << (8 * (_PACKED_BITS // 8 + 1) - 1)
+    bound, count = 1, 0  # no coefficient's absolute value exceeds bound
     for c in roots:
         _check_int("root constant", c)
         bound *= 1 + abs(c)
+        count += bound < limit  # the roots packed are those before the limit
     size = min(bound.bit_length(), _PACKED_BITS) // 8 + 1  # bytes a slot
     width = 8 * size
-    half = 1 << (width - 1)
     # the product of the first `count` roots, evaluated at x = 2**width
-    packed, partial, count = 1, 1, 0
-    for c in roots:
-        partial *= 1 + abs(c)  # the bound of the product so far
-        if partial >= half:
-            break
+    packed = 1
+    for c in roots[:count]:
         packed = (packed << width) + c * packed
-        count += 1
     # a slot read as a signed number is its coefficient, less one when the
     # slot below it reads negative and so borrowed from it; no coefficient
-    # reaches half, so the reading cannot wrap
+    # reaches 2**(width - 1), so the reading cannot wrap
     data = packed.to_bytes(size * count + 1, "little", signed=True)
     acc, borrow = [], 0
     for i in range(0, size * count, size):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlrook import ffpoly
+from mlrook import ffpoly, make_board, zone_roots
 from mlrook.ffpoly import FFPoly, expand_roots
 from oracles import brute_expand, m_falling_factorial, poly_eval
 
@@ -131,15 +131,13 @@ BIG_RNG = random.Random(2006)
 BIG_ROOTS = [BIG_RNG.randint(-10**6, 10**6) for _ in range(380)] + [0] * 10 + [7] * 10
 BIG_RNG.shuffle(BIG_ROOTS)
 
-# 400 root constants of the size the poly workload reaches (its roots lie
-# within +-m*n): mostly small, ten near +-1,600, and zeros; their bound
-# prod(1 + |c|) is about 1,400 bits and crosses the 1,024-bit packing cap
-# about three quarters of the way through
+# the zone roots of a 400-column board drawn as the poly workload draws
+# its boards (sorted heights uniform in [0, m*n]), at m = 2: constants in
+# -12..26 whose bound is 1,257 bits, so the 1,024-bit packing cap falls
+# after root 349.  The poly workload's expansions (seeds 101-103, 426 of
+# them) have bounds of 360 to 2,899 bits, median 857; a quarter pass the cap
 POLY_RNG = random.Random(1975)
-POLY_ROOTS = [POLY_RNG.randint(-24, 24) for _ in range(380)] + [
-    POLY_RNG.choice((-1, 1)) * POLY_RNG.randint(1000, 1600) for _ in range(10)
-] + [0] * 10
-POLY_RNG.shuffle(POLY_ROOTS)
+POLY_ROOTS = zone_roots(make_board(sorted(POLY_RNG.randint(0, 800) for _ in range(400))), 2)
 
 
 class TestLargeExpansion:
@@ -164,6 +162,9 @@ class TestLargeExpansion:
 
 class TestPolySizedExpansion(TestLargeExpansion):
     roots = POLY_ROOTS
+
+    def test_crosses_the_cap(self):
+        assert math.prod(1 + abs(c) for c in self.roots).bit_length() == 1257
 
 
 class TestFFPolyBasics:
